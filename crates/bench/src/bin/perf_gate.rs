@@ -50,11 +50,11 @@ const NAIVE_SPEEDUP_FLOOR: f64 = 5.0;
 /// sitting well above what the pre-refactor loop could reach.
 const BLESS_FLOOR_FRACTION: f64 = 0.10;
 /// The tentpole bound: the PR 8 floor must be at least this multiple
-/// of the PR 3 heap engine's committed floor.
+/// of the committed PR 3 floor.
 const TENTPOLE_SPEEDUP: f64 = 3.0;
 /// The committed baseline at the workspace root.
 const COMMITTED_BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-/// The PR 3 heap-engine baseline the ≥3× tentpole floor anchors to.
+/// The PR 3 baseline the ≥3× tentpole floor anchors to.
 const PR3_BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR3.json");
 /// Where each run's measurements land (never committed).
 const MEASURED_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_PR8.json");

@@ -498,6 +498,25 @@ fn kind_mismatch_and_bad_specs_fail_cleanly() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // Pathologically nested JSON: exit 1 with a path-carrying spec
+    // error from every loader, not a stack-overflow abort.
+    let deep = dir.join("deep.json");
+    fs::write(
+        &deep,
+        format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+    )
+    .unwrap();
+    for sub in ["analyze", "run-suite"] {
+        let out = xrbench(&[sub, deep.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{sub}: {stderr}");
+        assert!(stderr.contains("invalid spec: $[0][0]"), "{sub}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128 levels"),
+            "{sub}: {stderr}"
+        );
+    }
+
     // A semantically invalid spec: the builder's diagnostic reaches
     // stderr, with no panic.
     let invalid = dir.join("invalid.json");

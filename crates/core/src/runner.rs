@@ -1,14 +1,11 @@
 //! The unified execution entry point: one [`Runner`], any document.
 //!
-//! The library grew one entry point per workload shape —
-//! `SuiteRun::run`, `SessionRun::run`, `FleetRun::run`, plus a zoo of
-//! suite free functions — and every caller that executed "whatever
-//! document the user handed me" had to dispatch by hand and invent
-//! its own report plumbing. [`Runner::run`] executes any
-//! [`RunDocument`] through exactly the same engine paths (reports are
-//! byte-identical to the legacy entry points, which remain as
-//! deprecated shims) and returns one tagged [`RunReport`], with one
-//! error type ([`XrError`]) across every kind:
+//! [`Runner::run`] executes any [`RunDocument`] through exactly the
+//! library paths a hand-written caller would use (reports are
+//! byte-identical to [`crate::run_suite_catalog`],
+//! [`crate::Harness::run_session`], and
+//! [`crate::Harness::run_fleet_with_recovery`]) and returns one tagged
+//! [`RunReport`], with one error type ([`XrError`]) across every kind:
 //!
 //! ```
 //! use xrbench_core::{Runner, RunReport};
@@ -121,15 +118,18 @@ mod tests {
     #[test]
     fn runner_reports_match_the_legacy_entry_points() {
         let runner = Runner::new();
+        let system = xrbench_sim::UniformProvider::new(2, 0.001, 0.001);
+        let harness = crate::Harness::new();
 
         let suite_json = format!(r#"{{ "kind": "suite", {UNIFORM_HW}, "repeats": 2 }}"#);
         let report = runner.run_json(&suite_json).unwrap();
         assert_eq!(report.kind(), "suite");
-        let RunDocument::Suite(legacy) = RunDocument::from_json_str(&suite_json).unwrap() else {
-            unreachable!()
-        };
-        #[allow(deprecated)]
-        let expected = legacy.run();
+        let expected = crate::run_suite_catalog(
+            &harness,
+            &system,
+            2,
+            &xrbench_workload::ScenarioCatalog::builtin(),
+        );
         assert_eq!(report.to_json(), expected.to_json());
 
         let session_json = format!(
@@ -138,12 +138,14 @@ mod tests {
         );
         let report = runner.run_json(&session_json).unwrap();
         assert_eq!(report.kind(), "session");
-        let RunDocument::Session(legacy) = RunDocument::from_json_str(&session_json).unwrap()
-        else {
-            unreachable!()
-        };
-        #[allow(deprecated)]
-        let expected = legacy.run();
+        let session = xrbench_workload::SessionSpec::uniform(
+            "party",
+            xrbench_workload::UsageScenario::VrGaming.spec(),
+            2,
+            0.01,
+        );
+        let expected =
+            harness.run_session(&session, &system, &mut xrbench_sim::LatencyGreedy::new());
         assert_eq!(report.to_json(), expected.to_json());
 
         let fleet_json = format!(
@@ -154,11 +156,12 @@ mod tests {
         );
         let report = runner.run_json(&fleet_json).unwrap();
         assert_eq!(report.kind(), "fleet");
-        let RunDocument::Fleet(legacy) = RunDocument::from_json_str(&fleet_json).unwrap() else {
+        let RunDocument::Fleet(run) = RunDocument::from_json_str(&fleet_json).unwrap() else {
             unreachable!()
         };
-        #[allow(deprecated)]
-        let expected = legacy.run();
+        let expected = crate::Harness::new()
+            .with_duration(0.2)
+            .run_fleet_with_recovery(&run.fleet, &system, 2, run.recovery);
         assert_eq!(report.to_json(), expected.to_json());
     }
 

@@ -476,12 +476,6 @@ pub struct SuiteRun {
 impl SuiteRun {
     /// Executes the suite exactly as [`crate::run_suite_catalog`]
     /// would.
-    #[deprecated(note = "execute documents through `Runner::run` instead")]
-    #[doc(hidden)]
-    pub fn run(&self) -> BenchmarkReport {
-        self.execute()
-    }
-
     pub(crate) fn execute(&self) -> BenchmarkReport {
         let system = self.system.build();
         run_suite_catalog(
@@ -508,12 +502,6 @@ pub struct SessionRun {
 
 impl SessionRun {
     /// Executes the session exactly as [`Harness::run_session`] would.
-    #[deprecated(note = "execute documents through `Runner::run` instead")]
-    #[doc(hidden)]
-    pub fn run(&self) -> SessionReport {
-        self.execute()
-    }
-
     pub(crate) fn execute(&self) -> SessionReport {
         let system = self.system.build();
         self.params.harness().run_session(
@@ -544,12 +532,6 @@ pub struct FleetRun {
 impl FleetRun {
     /// Executes the fleet exactly as
     /// [`Harness::run_fleet_with_recovery`] would.
-    #[deprecated(note = "execute documents through `Runner::run` instead")]
-    #[doc(hidden)]
-    pub fn run(&self) -> xrbench_fleet::FleetReport {
-        self.execute()
-    }
-
     pub(crate) fn execute(&self) -> xrbench_fleet::FleetReport {
         let system = self.system.build();
         self.params.harness().run_fleet_with_recovery(
@@ -562,7 +544,7 @@ impl FleetRun {
 
     /// Runs one shard of the fleet: the sessions whose global
     /// `(group, replica)` coordinates fall in shard `shard` of
-    /// `num_shards`, seeded exactly as [`FleetRun::run`] would seed
+    /// `num_shards`, seeded exactly as a whole-fleet run would seed
     /// them. The returned [`xrbench_fleet::ShardState`] serializes
     /// over a pipe and merges back through
     /// [`FleetRun::merge_shards`].
@@ -585,7 +567,7 @@ impl FleetRun {
 
     /// Merges shard states produced by [`FleetRun::run_shard`] (in
     /// any order, possibly in other processes) into the final report
-    /// — byte-identical to [`FleetRun::run`]'s.
+    /// — byte-identical to the whole-fleet run's.
     ///
     /// # Errors
     ///
@@ -833,7 +815,6 @@ impl RunDocument {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use xrbench_sim::{SlackAwareEdf, UniformProvider};
@@ -852,7 +833,7 @@ mod tests {
             panic!("expected suite");
         };
         assert_eq!(suite.repeats, 3);
-        let report = suite.run();
+        let report = suite.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let expected = crate::run_suite(&Harness::new(), &system, 3);
         assert_eq!(report, expected);
@@ -871,7 +852,7 @@ mod tests {
         let RunDocument::Session(run) = doc else {
             panic!("expected session");
         };
-        let report = run.run();
+        let report = run.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let session = SessionSpec::uniform("party", UsageScenario::VrGaming.spec(), 4, 0.01);
         let expected =
@@ -896,7 +877,7 @@ mod tests {
         let RunDocument::Fleet(run) = doc else {
             panic!("expected fleet");
         };
-        let report = run.run();
+        let report = run.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let fleet = xrbench_fleet::FleetSpec::new("arcade").group(
             "vr",
@@ -928,7 +909,7 @@ mod tests {
             panic!("expected fleet");
         };
         assert_eq!(run.recovery, RecoveryPolicy::Requeue);
-        let report = run.run();
+        let report = run.execute();
         let system = UniformProvider::new(2, 0.001, 0.001);
         let fleet = xrbench_fleet::FleetSpec::new("churn").group_faulted(
             "vr",
@@ -1111,7 +1092,26 @@ mod tests {
         };
         assert_eq!(suite.catalog.len(), 8);
         assert!(suite.catalog.contains("Fitness"));
-        let report = suite.run();
+        let report = suite.execute();
         assert_eq!(report.scenarios.len(), 8);
+    }
+
+    #[test]
+    fn deeply_nested_json_is_a_spec_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = RunDocument::from_json_str(&deep).unwrap_err();
+        let SpecError::Invalid { path, message } = &err else {
+            panic!("expected a path-carrying error, got {err}");
+        };
+        assert_eq!(*path, format!("${}", "[0]".repeat(serde_json::MAX_DEPTH)));
+        assert!(message.contains("nesting deeper than 128 levels"), "{err}");
+        // Nesting inside an otherwise valid document names its path.
+        let deep_field = format!(
+            r#"{{ "kind": "suite", {UNIFORM_HW}, "extra": {}1{} }}"#,
+            "[".repeat(500),
+            "]".repeat(500)
+        );
+        let err = RunDocument::from_json_str(&deep_field).unwrap_err();
+        assert!(err.to_string().contains("$.extra[0][0]"), "{err}");
     }
 }

@@ -30,10 +30,9 @@
 //! same-timestamp scheduling with an indexed fast path for kernel-
 //! declaring schedulers, and precomputed per-scenario dispatch tables
 //! — amortized constant per event where the original loop was linear
-//! (see `DESIGN.md`). The two previous loops survive verbatim as
-//! differential-testing references: the original quadratic loop in
-//! [`crate::naive`] and the PR 3 heap engine in [`crate::heap`]; all
-//! three produce bit-identical results.
+//! (see `DESIGN.md`). The original quadratic loop survives in
+//! [`crate::naive`] as the differential-testing reference, fault
+//! injection included; both produce bit-identical results.
 
 use std::collections::BTreeMap;
 
@@ -43,6 +42,7 @@ use rand::{Rng, SeedableRng};
 use xrbench_models::ModelId;
 use xrbench_workload::{InferenceRequest, LoadGenerator, ScenarioSpec, SessionSpec};
 
+use crate::engine::{FaultCtx, RecordMode};
 use crate::provider::CostProvider;
 use crate::result::{SessionSimResult, SimResult};
 use crate::scheduler::Scheduler;
@@ -182,6 +182,8 @@ impl Simulator {
             provider,
             scheduler,
             self.config.duration_s,
+            RecordMode::Collect,
+            None,
         );
         per_user.remove(&0).expect("user 0 always present")
     }
@@ -203,10 +205,7 @@ impl Simulator {
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map =
-            crate::engine::run_tagged(self.config, &specs, tagged, provider, scheduler, span_s);
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        self.run_session_with(session, provider, scheduler, None, RecordMode::Collect)
     }
 
     /// [`Simulator::run_session`] with **streaming result folding**:
@@ -244,17 +243,7 @@ impl Simulator {
         scheduler: &mut dyn Scheduler,
         sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::engine::run_tagged_mode(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        self.run_session_with(session, provider, scheduler, None, RecordMode::Fold(sink))
     }
 
     /// [`Simulator::run_session`] under a dynamic fleet: the
@@ -283,34 +272,23 @@ impl Simulator {
         faults: &crate::FaultProcess,
         policy: crate::RecoveryPolicy,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = match timeline {
-            Some(ref tl) => crate::engine::run_tagged_faulted(
-                self.config,
-                &specs,
-                tagged,
-                provider,
-                scheduler,
-                span_s,
-                crate::engine::RecordMode::Collect,
-                Some(crate::engine::FaultCtx {
-                    timeline: tl,
-                    policy,
-                }),
-            ),
-            None => {
-                crate::engine::run_tagged(self.config, &specs, tagged, provider, scheduler, span_s)
-            }
-        };
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        self.run_session_with(
+            session,
+            provider,
+            scheduler,
+            Some((faults, policy)),
+            RecordMode::Collect,
+        )
     }
 
     /// [`Simulator::run_session_faulted`] with the streaming fold of
-    /// [`Simulator::run_session_folded`]. Note that in faulted runs
+    /// [`Simulator::run_session_folded`]. When faults are injected,
     /// records reach the sink in *completion* order (nondecreasing
-    /// `t_end`), not dispatch order — per-user they still sort to the
-    /// same `records` vector the collecting variant returns.
+    /// `t_end`), not dispatch order — per user, a stable sort by
+    /// `t_start` still yields the `records` vector the collecting
+    /// variant returns. A quiet process takes the fault-free path and
+    /// streams in dispatch order, exactly as
+    /// [`Simulator::run_session_folded`] does.
     ///
     /// # Panics
     ///
@@ -324,22 +302,69 @@ impl Simulator {
         policy: crate::RecoveryPolicy,
         sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = crate::engine::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
+        self.run_session_with(
+            session,
             provider,
             scheduler,
+            Some((faults, policy)),
+            RecordMode::Fold(sink),
+        )
+    }
+
+    /// The shared body of the session methods: generates the merged
+    /// stream, expands the fault process (if any), runs the engine, and
+    /// packages the per-user results.
+    fn run_session_with(
+        &self,
+        session: &SessionSpec,
+        provider: &dyn CostProvider,
+        scheduler: &mut dyn Scheduler,
+        faults: Option<(&crate::FaultProcess, crate::RecoveryPolicy)>,
+        mode: RecordMode<'_>,
+    ) -> SessionSimResult {
+        self.session_with(session, provider, faults, |specs, tagged, span_s, ctx| {
+            crate::engine::run_tagged(
+                self.config,
+                specs,
+                tagged,
+                provider,
+                scheduler,
+                span_s,
+                mode,
+                ctx,
+            )
+        })
+    }
+
+    /// Prepares a session's inputs, hands them to `run` (the engine or
+    /// the reference loop), and packages the per-user results.
+    fn session_with(
+        &self,
+        session: &SessionSpec,
+        provider: &dyn CostProvider,
+        faults: Option<(&crate::FaultProcess, crate::RecoveryPolicy)>,
+        run: impl FnOnce(
+            &[(u32, &ScenarioSpec)],
+            Vec<Pending>,
+            f64,
+            Option<FaultCtx<'_>>,
+        ) -> BTreeMap<u32, SimResult>,
+    ) -> SessionSimResult {
+        let (specs, tagged, span_s) = self.session_inputs(session);
+        let timeline =
+            faults.and_then(|(process, _)| self.expand_timeline(process, provider, span_s));
+        let ctx = timeline
+            .as_ref()
+            .zip(faults)
+            .map(|(timeline, (_, policy))| FaultCtx { timeline, policy });
+        let per_user: Vec<(u32, SimResult)> =
+            run(&specs, tagged, span_s, ctx).into_iter().collect();
+        SessionSimResult {
+            session: session.name.clone(),
+            per_user,
+            num_engines: provider.num_engines(),
             span_s,
-            crate::engine::RecordMode::Fold(sink),
-            timeline.as_ref().map(|tl| crate::engine::FaultCtx {
-                timeline: tl,
-                policy,
-            }),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        }
     }
 
     /// Expands a fault process into this run's timeline, or `None`
@@ -391,25 +416,9 @@ impl Simulator {
         (specs, tagged, span_s)
     }
 
-    /// Packages per-user results into a [`SessionSimResult`].
-    fn assemble_session(
-        session: &SessionSpec,
-        per_user_map: BTreeMap<u32, SimResult>,
-        provider: &dyn CostProvider,
-        span_s: f64,
-    ) -> SessionSimResult {
-        let per_user: Vec<(u32, SimResult)> = per_user_map.into_iter().collect();
-        SessionSimResult {
-            session: session.name.clone(),
-            per_user,
-            num_engines: provider.num_engines(),
-            span_s,
-        }
-    }
-
-    /// Reference (pre-heap) counterpart of [`Simulator::run_requests`]
-    /// — the original quadratic event loop, kept for differential
-    /// testing and before/after benchmarking. Not a supported API.
+    /// Reference counterpart of [`Simulator::run_requests`] — the
+    /// original quadratic event loop, kept for differential testing
+    /// and before/after benchmarking. Not a supported API.
     #[doc(hidden)]
     pub fn run_requests_reference(
         &self,
@@ -433,12 +442,13 @@ impl Simulator {
             provider,
             scheduler,
             self.config.duration_s,
+            None,
         );
         per_user.remove(&0).expect("user 0 always present")
     }
 
-    /// Reference (pre-heap) counterpart of [`Simulator::run_session`].
-    /// Not a supported API.
+    /// Reference counterpart of [`Simulator::run_session`]. Not a
+    /// supported API.
     #[doc(hidden)]
     pub fn run_session_reference(
         &self,
@@ -446,70 +456,23 @@ impl Simulator {
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::naive::run_tagged_naive(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+        self.session_with(session, provider, None, |specs, tagged, span_s, _| {
+            crate::naive::run_tagged_naive(
+                self.config,
+                specs,
+                tagged,
+                provider,
+                scheduler,
+                span_s,
+                None,
+            )
+        })
     }
 
-    /// Heap-engine (PR 3) counterpart of [`Simulator::run_session`] —
-    /// the previous production loop, kept as a second differential
-    /// reference for the calendar-queue engine. Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Collect,
-            None,
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine counterpart of [`Simulator::run_session_folded`].
+    /// Reference counterpart of [`Simulator::run_session_faulted`].
     /// Not a supported API.
     #[doc(hidden)]
-    pub fn run_session_folded_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-        sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-            None,
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine counterpart of [`Simulator::run_session_faulted`].
-    /// Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_faulted_heap_reference(
+    pub fn run_session_faulted_reference(
         &self,
         session: &SessionSpec,
         provider: &dyn CostProvider,
@@ -517,52 +480,22 @@ impl Simulator {
         faults: &crate::FaultProcess,
         policy: crate::RecoveryPolicy,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
+        self.session_with(
+            session,
             provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Collect,
-            timeline.as_ref().map(|tl| crate::engine::FaultCtx {
-                timeline: tl,
-                policy,
-            }),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
-    }
-
-    /// Heap-engine counterpart of
-    /// [`Simulator::run_session_folded_faulted`]. Not a supported API.
-    #[doc(hidden)]
-    pub fn run_session_folded_faulted_heap_reference(
-        &self,
-        session: &SessionSpec,
-        provider: &dyn CostProvider,
-        scheduler: &mut dyn Scheduler,
-        faults: &crate::FaultProcess,
-        policy: crate::RecoveryPolicy,
-        sink: &mut dyn FnMut(u32, &crate::result::ExecRecord),
-    ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
-        let timeline = self.expand_timeline(faults, provider, span_s);
-        let per_user_map = crate::heap::run_tagged_faulted(
-            self.config,
-            &specs,
-            tagged,
-            provider,
-            scheduler,
-            span_s,
-            crate::engine::RecordMode::Fold(sink),
-            timeline.as_ref().map(|tl| crate::engine::FaultCtx {
-                timeline: tl,
-                policy,
-            }),
-        );
-        Self::assemble_session(session, per_user_map, provider, span_s)
+            Some((faults, policy)),
+            |specs, tagged, span_s, ctx| {
+                crate::naive::run_tagged_naive(
+                    self.config,
+                    specs,
+                    tagged,
+                    provider,
+                    scheduler,
+                    span_s,
+                    ctx,
+                )
+            },
+        )
     }
 }
 
@@ -1073,6 +1006,26 @@ mod tests {
             RecoveryPolicy::Drop,
         );
         assert_eq!(clean, quiet);
+
+        // Fold mode: a quiet process streams the fault-free records in
+        // the fault-free (dispatch) order.
+        let mut clean_stream: Vec<(u32, ExecRecord)> = Vec::new();
+        let clean_folded =
+            sim.run_session_folded(&session, &p, &mut LatencyGreedy::new(), &mut |u, r| {
+                clean_stream.push((u, r.clone()));
+            });
+        let mut quiet_stream: Vec<(u32, ExecRecord)> = Vec::new();
+        let quiet_folded = sim.run_session_folded_faulted(
+            &session,
+            &p,
+            &mut LatencyGreedy::new(),
+            &FaultProcess::default(),
+            RecoveryPolicy::Drop,
+            &mut |u, r| quiet_stream.push((u, r.clone())),
+        );
+        assert!(!clean_stream.is_empty());
+        assert_eq!(clean_stream, quiet_stream);
+        assert_eq!(clean_folded, quiet_folded);
     }
 
     #[test]

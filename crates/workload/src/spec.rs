@@ -155,9 +155,17 @@ impl From<CatalogError> for SpecError {
 ///
 /// # Errors
 ///
-/// Returns [`SpecError::Json`] on malformed JSON.
+/// Returns [`SpecError::Json`] on malformed JSON, and
+/// [`SpecError::Invalid`] (with the JSON path) for nesting deeper than
+/// [`serde_json::MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<JsonValue, SpecError> {
-    serde_json::from_str(text).map_err(|e| SpecError::Json(e.to_string()))
+    serde_json::from_str(text).map_err(|e| match e.depth_path() {
+        Some(path) => SpecError::Invalid {
+            path: path.to_string(),
+            message: e.to_string(),
+        },
+        None => SpecError::Json(e.to_string()),
+    })
 }
 
 /// Resolves a model name: Table 1 abbreviation or full task name,

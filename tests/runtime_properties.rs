@@ -1,9 +1,9 @@
 //! Property-based tests over the runtime: frame conservation,
 //! schedule validity, cost-model monotonicity under randomized
 //! configurations, and the differential proofs that the production
-//! calendar-queue engine is bit-identical to both retained reference
-//! loops — the original (naive) event loop and the PR 3 heap engine —
-//! across every shipped scheduler, record mode, and recovery policy.
+//! calendar-queue engine is bit-identical to the reference (naive)
+//! event loop across every shipped scheduler, record mode, and
+//! recovery policy, fault-free and faulted.
 
 use proptest::prelude::*;
 
@@ -210,13 +210,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(112))]
 
     #[test]
-    fn heap_engine_is_bit_identical_to_naive_loop(structure in 0u64..u64::MAX, seed in 0u64..5000) {
-        // The differential proof behind the PR-3 rewrite: on randomized
-        // builder-generated multi-user sessions — mixed scenarios,
-        // random rates, probabilistic cascades, every shipped
-        // scheduler, under- and over-provisioned systems — the
-        // heap-driven engine must reproduce the original event loop's
-        // output exactly (records, stats, drop causes, everything
+    fn calendar_engine_is_bit_identical_to_naive_loop(
+        structure in 0u64..u64::MAX,
+        seed in 0u64..5000,
+    ) {
+        // The fault-free differential: on randomized builder-generated
+        // multi-user sessions — mixed scenarios, random rates,
+        // probabilistic cascades, every shipped scheduler, under- and
+        // over-provisioned systems — the production engine must
+        // reproduce the reference event loop's output exactly
+        // (records, stats, drop causes, everything
         // `SessionSimResult: PartialEq` sees).
         let mut st = structure;
         let spec_count = 1 + pick(&mut st, 3);
@@ -246,16 +249,8 @@ proptest! {
             latency,
             sched_idx % NUM_SCHEDULERS
         );
-        // The retained heap engine must agree too (it is the reference
-        // the faulted differential below leans on), in both record
-        // modes — and Fold must stream the same records Collect keeps,
-        // in the same order.
-        let heap = sim.run_session_heap_reference(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-        );
-        prop_assert_eq!(&fast, &heap, "calendar engine diverges from heap engine");
+        // Fold must stream the same records Collect keeps, in the same
+        // order, with the same stats.
         let mut folded: Vec<(u32, ExecRecord)> = Vec::new();
         let fold = sim.run_session_folded(
             &session,
@@ -278,16 +273,14 @@ proptest! {
     }
 
     #[test]
-    fn calendar_engine_matches_heap_engine_under_faults(
+    fn calendar_engine_matches_naive_loop_under_faults(
         structure in 0u64..u64::MAX,
         seed in 0u64..5000,
     ) {
         // The faulted differential: on randomized sessions with engine
         // churn, preemption, and throttling, the production engine must
-        // reproduce the heap engine exactly under every recovery policy
-        // and every shipped scheduler, in both record modes. (The naive
-        // loop predates fault injection, so the heap engine is the
-        // reference here.)
+        // reproduce the reference loop exactly under every recovery
+        // policy and every shipped scheduler, in both record modes.
         let mut st = structure;
         let spec_count = 1 + pick(&mut st, 2);
         let specs: Vec<ScenarioSpec> = (0..spec_count)
@@ -319,7 +312,7 @@ proptest! {
             &faults,
             policy,
         );
-        let heap = sim.run_session_faulted_heap_reference(
+        let slow = sim.run_session_faulted_reference(
             &session,
             &provider,
             scheduler_for(sched_idx).as_mut(),
@@ -328,7 +321,7 @@ proptest! {
         );
         prop_assert_eq!(
             &fast,
-            &heap,
+            &slow,
             "faulted engines diverge: {} users, {} engines, {}s latency, \
              scheduler {}, policy {}",
             users,
@@ -337,25 +330,32 @@ proptest! {
             sched_idx % NUM_SCHEDULERS,
             policy
         );
-        // Fold-mode parity under faults, against the heap engine's fold.
-        let mut fast_folded: Vec<(u32, ExecRecord)> = Vec::new();
-        sim.run_session_folded_faulted(
+        // Fold mode under faults streams at completion: nondecreasing
+        // in `t_end`, and per user the stable start-time sort of the
+        // stream is the reference loop's record vector.
+        let mut folded: Vec<(u32, ExecRecord)> = Vec::new();
+        let fold = sim.run_session_folded_faulted(
             &session,
             &provider,
             scheduler_for(sched_idx).as_mut(),
             &faults,
             policy,
-            &mut |user, rec| fast_folded.push((user, rec.clone())),
+            &mut |user, rec| folded.push((user, rec.clone())),
         );
-        let mut heap_folded: Vec<(u32, ExecRecord)> = Vec::new();
-        sim.run_session_folded_faulted_heap_reference(
-            &session,
-            &provider,
-            scheduler_for(sched_idx).as_mut(),
-            &faults,
-            policy,
-            &mut |user, rec| heap_folded.push((user, rec.clone())),
+        prop_assert!(
+            folded.windows(2).all(|w| w[0].1.t_end <= w[1].1.t_end),
+            "faulted fold stream is not in completion order"
         );
-        prop_assert_eq!(fast_folded, heap_folded, "faulted fold streams diverge");
+        for ((u, r), (uf, rf)) in slow.per_user.iter().zip(fold.per_user.iter()) {
+            prop_assert_eq!(u, uf);
+            let mut stream: Vec<ExecRecord> = folded
+                .iter()
+                .filter(|(user, _)| user == u)
+                .map(|(_, rec)| rec.clone())
+                .collect();
+            stream.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
+            prop_assert_eq!(&stream, &r.records, "faulted fold stream diverges for user {}", u);
+            prop_assert_eq!(&r.stats, &rf.stats, "faulted fold changed stats for user {}", u);
+        }
     }
 }

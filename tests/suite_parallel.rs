@@ -1,19 +1,13 @@
-//! Workspace smoke test for the parallel suite runner: the parallel
-//! path must be a drop-in for the serial one — identical scores for
-//! every Table 5 accelerator — while actually fanning work across
-//! more than one worker thread.
-//!
-//! The per-strategy entry points are deprecated in favour of
-//! `run_suite` / `Runner`, but they are the *subject* of this
-//! equivalence test, so it calls them deliberately.
-#![allow(deprecated)]
+//! Workspace smoke test for the parallel suite runner: `run_suite`
+//! must actually fan work across more than one worker thread. (The
+//! serial-versus-parallel equivalence checks are unit tests in
+//! `crates/core/src/suite.rs`, where the serial reference lives.)
 
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use xrbench::core::{run_suite_parallel, run_suite_serial};
 use xrbench::prelude::*;
 use xrbench::sim::UniformProvider;
 
@@ -82,36 +76,9 @@ impl<P: CostProvider> CostProvider for ThreadRendezvous<P> {
 }
 
 #[test]
-fn parallel_suite_matches_serial_for_all_13_accelerators() {
-    let harness = Harness::new();
-    for cfg in table5() {
-        let system = AcceleratorSystem::new(cfg, 4096);
-        let serial = run_suite_serial(&harness, &system, 2);
-        let parallel = run_suite_parallel(&harness, &system, 2);
-        assert_eq!(
-            serial,
-            parallel,
-            "parallel suite diverged from serial on {}",
-            system.label()
-        );
-        assert_eq!(serial.scenarios.len(), 7);
-    }
-}
-
-#[test]
-fn run_suite_defaults_to_the_parallel_path_bit_for_bit() {
-    let system =
-        AcceleratorSystem::new(table5().into_iter().find(|c| c.id == 'J').expect("J"), 8192);
-    let harness = Harness::new().with_seed(7);
-    let via_default = run_suite(&harness, &system, 3);
-    let via_serial = run_suite_serial(&harness, &system, 3);
-    assert_eq!(via_default, via_serial);
-}
-
-#[test]
 fn parallel_suite_uses_more_than_one_worker_thread() {
     let probe = ThreadRendezvous::new(UniformProvider::new(2, 0.001, 0.001), 2);
-    let report = run_suite_parallel(&Harness::new(), &probe, 3);
+    let report = run_suite(&Harness::new(), &probe, 3);
     assert_eq!(report.scenarios.len(), 7);
     assert!(
         probe.distinct_threads() > 1,
