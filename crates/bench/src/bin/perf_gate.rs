@@ -19,6 +19,11 @@
 //! * the measured speedup over the reference loop at 1024 users drops
 //!   below 5× (the machine-independent bound PR 3 committed to).
 //!
+//! It also fails if, on a 256-user session under `SlackAwareEdf`, the
+//! engine (which drives that scheduler through its closed-form dispatch
+//! kernel) is less than 5× faster than the reference loop measured in
+//! the same run — a ratio bound, so it holds on any machine.
+//!
 //! ```sh
 //! cargo run -p xrbench-bench --release --bin perf_gate
 //! ```
@@ -29,7 +34,7 @@
 //! Environment knobs:
 //!
 //! * `XRBENCH_PERF_SKIP_NAIVE=1` — skip the slow reference-loop runs
-//!   (the absolute floor is still enforced).
+//!   (the absolute floor is still enforced; the ratio bounds are not).
 //! * `XRBENCH_BLESS_PERF=1` — re-derive the committed floor as the
 //!   larger of 10% of the measured 1024-user throughput and 3× the
 //!   PR 3 floor, and rewrite the repo-root `BENCH_PR8.json` baseline.
@@ -37,7 +42,7 @@
 use std::time::Instant;
 
 use xrbench_bench::session_scale::{mixed_session, provider, ENGINES, LATENCY_S, STAGGER_S};
-use xrbench_sim::{LatencyGreedy, SimConfig, Simulator};
+use xrbench_sim::{LatencyGreedy, Scheduler, SimConfig, Simulator, SlackAwareEdf};
 
 /// Session sizes the gate tracks. The last one is the gated size.
 const USER_COUNTS: [u32; 4] = [1, 32, 256, 1024];
@@ -49,6 +54,11 @@ const NAIVE_SPEEDUP_FLOOR: f64 = 5.0;
 /// runners several times slower than the blessing machine while still
 /// sitting well above what the pre-refactor loop could reach.
 const BLESS_FLOOR_FRACTION: f64 = 0.10;
+/// Session size of the `SlackAwareEdf` row.
+const SLACK_USERS: u32 = 256;
+/// Same-run bound: the engine vs the reference loop on the
+/// `SlackAwareEdf` row.
+const SLACK_SPEEDUP_FLOOR: f64 = 5.0;
 /// The tentpole bound: the PR 8 floor must be at least this multiple
 /// of the committed PR 3 floor.
 const TENTPOLE_SPEEDUP: f64 = 3.0;
@@ -64,6 +74,24 @@ struct Measurement {
     events: u64,
     events_per_sec: f64,
     naive_events_per_sec: Option<f64>,
+}
+
+impl Measurement {
+    /// The measurement as one JSON object.
+    fn json(&self) -> String {
+        let naive = match self.naive_events_per_sec {
+            Some(n) => format!(
+                ", \"naive_events_per_sec\": {:.0}, \"speedup\": {:.2}",
+                n,
+                self.events_per_sec / n
+            ),
+            None => String::new(),
+        };
+        format!(
+            "{{\"users\": {}, \"events\": {}, \"events_per_sec\": {:.0}{}}}",
+            self.users, self.events, self.events_per_sec, naive
+        )
+    }
 }
 
 /// Runs `f` `reps` times and returns (events of one run, best
@@ -101,14 +129,13 @@ fn main() {
     let config = SimConfig::default();
     let sim = Simulator::new(config);
 
-    let mut results: Vec<Measurement> = Vec::new();
-    for users in USER_COUNTS {
+    let measure_sessions = |users: u32, scheduler: &dyn Fn() -> Box<dyn Scheduler>| {
         let session = mixed_session(users);
         let arrivals = session.generate(config.seed, config.duration_s).len() as u64;
         // More repetitions where runs are cheap, fewer at scale.
         let reps = if users >= 256 { 2 } else { 5 };
         let (events, events_per_sec) = measure(reps, arrivals, || {
-            let r = sim.run_session(&session, &provider, &mut LatencyGreedy::new());
+            let r = sim.run_session(&session, &provider, scheduler().as_mut());
             r.per_user.iter().map(|(_, u)| u.records.len() as u64).sum()
         });
         let naive_events_per_sec = if skip_naive {
@@ -116,28 +143,36 @@ fn main() {
         } else {
             let naive_reps = if users >= 256 { 1 } else { 2 };
             let (_, naive_eps) = measure(naive_reps, arrivals, || {
-                let r = sim.run_session_reference(&session, &provider, &mut LatencyGreedy::new());
+                let r = sim.run_session_reference(&session, &provider, scheduler().as_mut());
                 r.per_user.iter().map(|(_, u)| u.records.len() as u64).sum()
             });
             Some(naive_eps)
         };
         eprintln!(
-            "perf_gate: {users:>5} users | {events:>8} events | {events_per_sec:>12.0} ev/s{}",
+            "perf_gate: {users:>5} users | {events:>8} events | {events_per_sec:>12.0} ev/s{} ({})",
             match naive_events_per_sec {
                 Some(n) => format!(
                     " | naive {n:>12.0} ev/s | speedup {:.1}x",
                     events_per_sec / n
                 ),
                 None => String::new(),
-            }
+            },
+            scheduler().name(),
         );
-        results.push(Measurement {
+        Measurement {
             users,
             events,
             events_per_sec,
             naive_events_per_sec,
-        });
-    }
+        }
+    };
+    let results: Vec<Measurement> = USER_COUNTS
+        .iter()
+        .map(|&users| measure_sessions(users, &|| Box::new(LatencyGreedy::new())))
+        .collect();
+    // The SlackAwareEdf row, gated only on its same-run ratio to the
+    // reference loop.
+    let slack = measure_sessions(SLACK_USERS, &|| Box::new(SlackAwareEdf::new()));
 
     let gated = results.last().expect("measured at least one session");
     let committed_floor = std::fs::read_to_string(COMMITTED_BASELINE)
@@ -183,24 +218,14 @@ fn main() {
     ));
     out.push_str("  \"sessions\": [\n");
     for (i, m) in results.iter().enumerate() {
-        let naive = match m.naive_events_per_sec {
-            Some(n) => format!(
-                ", \"naive_events_per_sec\": {:.0}, \"speedup\": {:.2}",
-                n,
-                m.events_per_sec / n
-            ),
-            None => String::new(),
-        };
         out.push_str(&format!(
-            "    {{\"users\": {}, \"events\": {}, \"events_per_sec\": {:.0}{}}}{}\n",
-            m.users,
-            m.events,
-            m.events_per_sec,
-            naive,
+            "    {}{}\n",
+            m.json(),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!("  \"slack_edf\": {},\n", slack.json()));
     out.push_str(&format!(
         "  \"floor_events_per_sec_1024\": {floor:.0}\n}}\n"
     ));
@@ -252,6 +277,19 @@ fn main() {
             failed = true;
         }
     }
+    // Gate 3: the SlackAwareEdf kernel's same-run speedup over the
+    // reference loop.
+    let slack_speedup = slack.naive_events_per_sec.map(|n| slack.events_per_sec / n);
+    if let Some(speedup) = slack_speedup {
+        if speedup < SLACK_SPEEDUP_FLOOR {
+            eprintln!(
+                "perf_gate: FAIL — slack-edf speedup over reference loop {speedup:.2}x below \
+                 {SLACK_SPEEDUP_FLOOR}x at {SLACK_USERS} users (measured-vs-floor: {:+.1}%)",
+                (speedup / SLACK_SPEEDUP_FLOOR - 1.0) * 100.0
+            );
+            failed = true;
+        }
+    }
     // Mirror the verdict and the measurement table into the Actions
     // job summary, so a regression is readable from the run page
     // without downloading artifacts.
@@ -294,6 +332,13 @@ fn main() {
             "| speedup over reference loop | {NAIVE_SPEEDUP_FLOOR:.1}x | {speedup:.2}x | {:+.1}% | {} |\n",
             (speedup / NAIVE_SPEEDUP_FLOOR - 1.0) * 100.0,
             if speedup < NAIVE_SPEEDUP_FLOOR { "❌ FAIL" } else { "✅ pass" }
+        ));
+    }
+    if let Some(speedup) = slack_speedup {
+        summary.push_str(&format!(
+            "| slack-edf speedup over reference loop ({SLACK_USERS} users) | {SLACK_SPEEDUP_FLOOR:.1}x | {speedup:.2}x | {:+.1}% | {} |\n",
+            (speedup / SLACK_SPEEDUP_FLOOR - 1.0) * 100.0,
+            if speedup < SLACK_SPEEDUP_FLOOR { "❌ FAIL" } else { "✅ pass" }
         ));
     }
     xrbench_bench::ci::append_step_summary(&summary);

@@ -22,8 +22,12 @@
 //!   On top of that, schedulers that declare a closed-form
 //!   [`DispatchKernel`] are driven through an indexed fast path — a
 //!   segment-tree argmin over the scheduler's own total request order
-//!   plus a bitmask free-engine set — that reproduces their `select`
-//!   picks exactly while skipping the per-pick linear scans entirely.
+//!   (or, for `SlackAwareEdf`, one EDF-sorted list per model searched
+//!   against that model's fastest free engine) plus a bitmask
+//!   free-engine set — that reproduces their `select` picks exactly
+//!   while skipping the per-pick scans and sorts entirely. Every
+//!   shipped scheduler declares a kernel; `select` serves faulted runs
+//!   and custom schedulers.
 //! * **Precomputed dispatch tables** — per-*scenario* dependency and
 //!   reverse-dependency lists are deduplicated and flattened into CSR
 //!   tables once per run ([`Tables`]), so the per-user setup cost and
@@ -33,9 +37,9 @@
 //! Output is **bit-identical** to the reference loop in
 //! [`crate::naive`]; the differential property tests in
 //! `tests/runtime_properties.rs` and the golden suite fixtures enforce
-//! it across all schedulers, record modes, and fault policies. Faulted
-//! runs always take the generic `select` path, since kernels cannot
-//! observe mid-run outages.
+//! it across all schedulers, record modes, and fault policies, on
+//! uniform and heterogeneous engines. Faulted runs always take the
+//! generic `select` path, since kernels cannot observe mid-run outages.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -57,12 +61,22 @@ const EMPTY_SEQ: u64 = u64::MAX;
 /// `f64::total_cmp` order — the standard sign-flip trick, letting the
 /// pick tree compare times as plain integers.
 #[inline]
-fn time_bits(x: f64) -> u64 {
+const fn time_bits(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
         !b
     } else {
         b | (1 << 63)
+    }
+}
+
+/// The inverse of [`time_bits`].
+#[inline]
+fn time_from_bits(k: u64) -> f64 {
+    if k >> 63 == 1 {
+        f64::from_bits(k & !(1 << 63))
+    } else {
+        f64::from_bits(!k)
     }
 }
 
@@ -76,8 +90,22 @@ enum PickOrder {
     Fifo,
 }
 
+/// How a kernel indexes the ready queue.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum KernelIndex {
+    /// A [`PickTree`] argmin over one total request order.
+    Tree(PickOrder),
+    /// One EDF-sorted list per model, for the slack-aware kernel,
+    /// whose pick depends on each model's fastest free engine.
+    ModelLists,
+}
+
 /// A pick-tree key: three `u64` words compared lexicographically.
 type PickKey = [u64; 3];
+
+/// The largest first word of a non-NaN EDF key: keys above it carry a
+/// positive-NaN deadline, which sorts last under `total_cmp`.
+const LAST_NON_NAN: u64 = time_bits(f64::INFINITY);
 
 /// The "no entry" key. No real key can collide: the third word of an
 /// EDF key (and second of a FIFO key) packs `(model, user)` below
@@ -175,6 +203,15 @@ enum ReadyIndex {
     /// The kernel path: a [`PickTree`] argmin over the scheduler's
     /// declared request order. No view buffer is maintained at all.
     Tree { tree: PickTree, order: PickOrder },
+    /// The slack-aware kernel path: per model, the queued entries as
+    /// EDF-sorted `(key, dense key)` pairs, each list pre-sized to the
+    /// user count (one entry per `(user, model)` at most, so the lists
+    /// never grow past it). `users` maps dense user index → raw id, to
+    /// rebuild an entry's key for removal.
+    ModelLists {
+        lists: Vec<Vec<(PickKey, u32)>>,
+        users: Vec<u32>,
+    },
 }
 
 /// The dispatchable-request queue in struct-of-arrays layout: one slot
@@ -194,11 +231,18 @@ struct Ready {
 }
 
 impl Ready {
-    fn new(num_keys: usize, kernel_order: Option<PickOrder>) -> Self {
-        let index = match kernel_order {
-            Some(order) => ReadyIndex::Tree {
+    fn new(users: &[u32], kernel_index: Option<KernelIndex>) -> Self {
+        let num_keys = users.len() * NUM_MODELS;
+        let index = match kernel_index {
+            Some(KernelIndex::Tree(order)) => ReadyIndex::Tree {
                 tree: PickTree::new(num_keys),
                 order,
+            },
+            Some(KernelIndex::ModelLists) => ReadyIndex::ModelLists {
+                lists: (0..NUM_MODELS)
+                    .map(|_| Vec::with_capacity(users.len()))
+                    .collect(),
+                users: users.to_vec(),
             },
             None => ReadyIndex::Buffer {
                 views: Vec::with_capacity(num_keys),
@@ -228,7 +272,8 @@ impl Ready {
     }
 
     /// Detaches `key`'s queued entry from the dispatch index (tombstone
-    /// in buffer mode, O(log keys) clear in tree mode).
+    /// in buffer mode, O(log keys) clear in tree mode, sorted removal
+    /// from its model's list in list mode).
     fn detach(&mut self, key: usize) {
         match &mut self.index {
             ReadyIndex::Buffer { meta, dead, .. } => {
@@ -239,6 +284,20 @@ impl Ready {
                 *dead += 1;
             }
             ReadyIndex::Tree { tree, .. } => tree.clear(key),
+            ReadyIndex::ModelLists { lists, users } => {
+                let k = pick_key(
+                    PickOrder::Edf,
+                    key % NUM_MODELS,
+                    users[key / NUM_MODELS],
+                    self.t_req[key],
+                    self.t_deadline[key],
+                );
+                let list = &mut lists[key % NUM_MODELS];
+                let pos = list
+                    .binary_search_by(|e| e.0.cmp(&k))
+                    .expect("queued entry is listed");
+                list.remove(pos);
+            }
         }
     }
 
@@ -270,6 +329,19 @@ impl Ready {
                         self.t_deadline[key],
                     ),
                 );
+            }
+            ReadyIndex::ModelLists { lists, .. } => {
+                let mi = key % NUM_MODELS;
+                let k = pick_key(
+                    PickOrder::Edf,
+                    mi,
+                    user,
+                    self.t_req[key],
+                    self.t_deadline[key],
+                );
+                let list = &mut lists[mi];
+                let pos = list.partition_point(|e| e.0 < k);
+                list.insert(pos, (k, key as u32));
             }
         }
     }
@@ -366,7 +438,7 @@ impl Ready {
     fn views(&self) -> &[PendingView] {
         match &self.index {
             ReadyIndex::Buffer { views, .. } => views,
-            ReadyIndex::Tree { .. } => unreachable!("kernel path never calls select"),
+            _ => unreachable!("kernel path never calls select"),
         }
     }
 
@@ -388,17 +460,26 @@ impl Ready {
     fn min_key(&self) -> Option<usize> {
         match &self.index {
             ReadyIndex::Tree { tree, .. } => tree.min_slot(),
-            ReadyIndex::Buffer { .. } => unreachable!("generic path dispatches via select"),
+            _ => unreachable!("only tree-indexed kernels dispatch by argmin"),
+        }
+    }
+
+    /// The per-model EDF lists (list mode only).
+    fn model_lists(&self) -> &[Vec<(PickKey, u32)>] {
+        match &self.index {
+            ReadyIndex::ModelLists { lists, .. } => lists,
+            _ => unreachable!("only the slack-aware kernel keeps model lists"),
         }
     }
 
     /// Removes `key`'s entry for kernel dispatch, returning
     /// `(frame_id, sensor_frame, t_req, t_deadline, frac)`.
     fn take_key(&mut self, key: usize) -> (u64, u64, f64, f64, f64) {
-        let ReadyIndex::Tree { tree, .. } = &mut self.index else {
-            unreachable!("generic path dispatches via select")
-        };
-        tree.clear(key);
+        debug_assert!(
+            !matches!(self.index, ReadyIndex::Buffer { .. }),
+            "generic path dispatches via select"
+        );
+        self.detach(key);
         self.seq[key] = EMPTY_SEQ;
         self.count -= 1;
         (
@@ -960,30 +1041,37 @@ enum KernelState {
     FifoRotate { next_engine: usize },
     FifoLeastLoaded { loads: Vec<f64> },
     EdfOutages { outages: Vec<u64> },
+    EdfSlackFastest,
 }
 
-/// Splits a declared kernel into the request order and the engine-rule
-/// state, pre-sizing carried vectors to the engine count so the hot
-/// loop never resizes them (reads beyond the declared length are 0 by
-/// the kernel contract, so this is semantics-preserving).
-fn kernel_setup(kernel: DispatchKernel, num_engines: usize) -> (PickOrder, KernelState) {
+/// Splits a declared kernel into the ready-queue index and the
+/// engine-rule state, pre-sizing carried vectors to the engine count so
+/// the hot loop never resizes them (reads beyond the declared length
+/// are 0 by the kernel contract, so this is semantics-preserving).
+fn kernel_setup(kernel: DispatchKernel, num_engines: usize) -> (KernelIndex, KernelState) {
+    use KernelIndex::{ModelLists, Tree};
     match kernel {
-        DispatchKernel::EdfFastestEngine => (PickOrder::Edf, KernelState::EdfFastest),
-        DispatchKernel::FifoRotatingEngine { next_engine } => {
-            (PickOrder::Fifo, KernelState::FifoRotate { next_engine })
-        }
+        DispatchKernel::EdfFastestEngine => (Tree(PickOrder::Edf), KernelState::EdfFastest),
+        DispatchKernel::FifoRotatingEngine { next_engine } => (
+            Tree(PickOrder::Fifo),
+            KernelState::FifoRotate { next_engine },
+        ),
         DispatchKernel::FifoLeastLoadedEngine { mut loads } => {
             if loads.len() < num_engines {
                 loads.resize(num_engines, 0.0);
             }
-            (PickOrder::Fifo, KernelState::FifoLeastLoaded { loads })
+            (
+                Tree(PickOrder::Fifo),
+                KernelState::FifoLeastLoaded { loads },
+            )
         }
         DispatchKernel::EdfFewestOutagesEngine { mut outages } => {
             if outages.len() < num_engines {
                 outages.resize(num_engines, 0);
             }
-            (PickOrder::Edf, KernelState::EdfOutages { outages })
+            (Tree(PickOrder::Edf), KernelState::EdfOutages { outages })
         }
+        DispatchKernel::EdfSlackFastestEngine => (ModelLists, KernelState::EdfSlackFastest),
     }
 }
 
@@ -996,7 +1084,154 @@ fn kernel_export(state: KernelState) -> DispatchKernel {
         }
         KernelState::FifoLeastLoaded { loads } => DispatchKernel::FifoLeastLoadedEngine { loads },
         KernelState::EdfOutages { outages } => DispatchKernel::EdfFewestOutagesEngine { outages },
+        KernelState::EdfSlackFastest => DispatchKernel::EdfSlackFastestEngine,
     }
+}
+
+/// Fills a preference row with engine ids in `(latency, id)` order
+/// under `total_cmp` — the order `SlackAwareEdf`'s and
+/// `LatencyGreedy`'s `min_by` scans minimize.
+fn sort_by_latency(row: &mut [u32], cache: &DenseCostCache<'_>, model: ModelId) {
+    row.sort_unstable_by(|&a, &b| {
+        cache
+            .cost(model, a as usize)
+            .latency_s
+            .total_cmp(&cache.cost(model, b as usize).latency_s)
+            .then(a.cmp(&b))
+    });
+}
+
+/// The first free engine of a preference row (the free set must be
+/// non-empty).
+#[inline]
+fn first_free(row: &[u32], free: &FreeSet) -> usize {
+    *row.iter()
+        .find(|&&e| free.contains(e as usize))
+        .expect("free set is non-empty, so some preferred engine is free") as usize
+}
+
+/// The engine a tree-indexed kernel runs model index `mi`'s request
+/// on, advancing the rule's state as its `select` would.
+#[inline]
+fn tree_engine(
+    kstate: &mut KernelState,
+    mi: usize,
+    prefs: &mut PrefTable,
+    free: &FreeSet,
+    cache: &DenseCostCache<'_>,
+) -> usize {
+    let model = ModelId::ALL[mi];
+    match kstate {
+        KernelState::EdfFastest => first_free(
+            prefs.row(mi, |row| sort_by_latency(row, cache, model)),
+            free,
+        ),
+        KernelState::EdfOutages { outages } => {
+            let row = prefs.row(mi, |row| {
+                row.sort_unstable_by(|&a, &b| {
+                    outages[a as usize]
+                        .cmp(&outages[b as usize])
+                        .then(
+                            cache
+                                .cost(model, a as usize)
+                                .latency_s
+                                .total_cmp(&cache.cost(model, b as usize).latency_s),
+                        )
+                        .then(a.cmp(&b))
+                });
+            });
+            first_free(row, free)
+        }
+        KernelState::FifoRotate { next_engine } => {
+            let e = free
+                .first_at_or_above(*next_engine)
+                .unwrap_or_else(|| free.lowest());
+            // Mirrors RoundRobin::select's cursor update, including
+            // reading the free count *before* this dispatch occupies
+            // `e`.
+            *next_engine = (e + 1) % usize::max(1, e + 1).max(free.count);
+            e
+        }
+        KernelState::FifoLeastLoaded { loads } => {
+            let mut best = usize::MAX;
+            let mut best_load = f64::INFINITY;
+            free.for_each(|e| {
+                // Strictly-less keeps the lowest id on ties, matching
+                // `min_by`'s first-min.
+                if loads[e].total_cmp(&best_load).is_lt() {
+                    best_load = loads[e];
+                    best = e;
+                }
+            });
+            loads[best] += cache.cost(model, best).latency_s;
+            best
+        }
+        KernelState::EdfSlackFastest => {
+            unreachable!("the slack-aware kernel picks request and engine together")
+        }
+    }
+}
+
+/// The [`DispatchKernel::EdfSlackFastestEngine`] pick as `(dense key,
+/// engine)`, or `None` with nothing queued: `SlackAwareEdf::select`'s
+/// picks in O(models · log users) instead of a sort of the ready queue.
+fn slack_pick(
+    lists: &[Vec<(PickKey, u32)>],
+    prefs: &mut PrefTable,
+    free: &FreeSet,
+    cache: &DenseCostCache<'_>,
+    now: f64,
+) -> Option<(usize, usize)> {
+    // The EDF-least entry overall (the fallback), and the EDF-least
+    // salvageable entry with its engine.
+    let mut urgent: Option<(PickKey, usize)> = None;
+    let mut best: Option<(PickKey, usize, usize)> = None;
+    for (mi, list) in lists.iter().enumerate() {
+        let Some(&(head, key)) = list.first() else {
+            continue;
+        };
+        if urgent.is_none_or(|(k, _)| head < k) {
+            urgent = Some((head, key as usize));
+        }
+        if best.is_some_and(|(k, ..)| k < head) {
+            continue; // nothing in this list can beat the best so far
+        }
+        let model = ModelId::ALL[mi];
+        let row = prefs.row(mi, |row| sort_by_latency(row, cache, model));
+        // The model's fastest free engine with a non-NaN latency (a
+        // NaN latency is feasible for no deadline).
+        let Some((engine, latency)) = row
+            .iter()
+            .map(|&e| e as usize)
+            .filter(|&e| free.contains(e))
+            .map(|e| (e, cache.cost(model, e).latency_s))
+            .find(|(_, l)| !l.is_nan())
+        else {
+            continue;
+        };
+        // `select`'s feasibility test, verbatim.
+        let meets = |deadline: f64| now + latency <= deadline + 1e-15;
+        // Positive-NaN deadlines sort last and are never salvageable;
+        // negative-NaN ones sort first and fail the test like any lost
+        // cause, so the salvageable entries are a suffix of the rest.
+        let live = &list[..list.partition_point(|e| e.0[0] <= LAST_NON_NAN)];
+        let first = live.partition_point(|e| !meets(time_from_bits(e.0[0])));
+        if let Some(&(k, key)) = live.get(first) {
+            if best.is_none_or(|(b, ..)| k < b) {
+                best = Some((k, key as usize, engine));
+            }
+        }
+    }
+    if let Some((_, key, engine)) = best {
+        return Some((key, engine));
+    }
+    // Nothing is salvageable: the most urgent entry runs on its
+    // model's fastest free engine, NaN latencies included.
+    let (_, key) = urgent?;
+    let mi = key % NUM_MODELS;
+    let model = ModelId::ALL[mi];
+    let row = prefs.row(mi, |row| sort_by_latency(row, cache, model));
+    Some((key, first_free(row, free)))
 }
 
 /// The production event loop over user-tagged requests (`requests`
@@ -1049,8 +1284,8 @@ pub(crate) fn run_tagged(
     } else {
         None
     };
-    let (kernel_order, mut kstate) = match kernel {
-        Some((o, s)) => (Some(o), Some(s)),
+    let (kernel_index, mut kstate) = match kernel {
+        Some((i, s)) => (Some(i), Some(s)),
         None => (None, None),
     };
     let mut prefs = PrefTable::new(num_engines);
@@ -1059,7 +1294,7 @@ pub(crate) fn run_tagged(
     // and free set from the engine count, the queues and tables from
     // the dense key count.
     let cache = DenseCostCache::new(provider);
-    let mut free = FreeSet::all(num_engines, kernel_order.is_none());
+    let mut free = FreeSet::all(num_engines, kernel_index.is_none());
     let mut engine_token: Vec<Option<u64>> = vec![None; num_engines];
     let mut next_token = 0u64;
     let mut next_seq = 0u64;
@@ -1069,7 +1304,7 @@ pub(crate) fn run_tagged(
     // for degenerate sub-epsilon latencies); the reference loop
     // processes them at the *next* event time, so we do too.
     let mut due: Vec<CompletionEv> = Vec::with_capacity(num_engines * 2 + 8);
-    let mut ready = Ready::new(num_keys, kernel_order);
+    let mut ready = Ready::new(&users_raw, kernel_index);
     let mut waiting = Waiting::new(num_keys);
     let mut pass: BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
         BinaryHeap::with_capacity(num_keys + 16);
@@ -1461,71 +1696,23 @@ pub(crate) fn run_tagged(
                 }
             }
             Some(kstate) => {
-                // Kernel path (always fault-free): indexed argmin over
-                // the declared request order, engine rule replayed
+                // Kernel path (always fault-free): the declared rule's
+                // pick from an index over the ready queue, replayed
                 // exactly.
                 while !free.is_empty() {
-                    let Some(key) = ready.min_key() else { break };
-                    let mi = key % nm;
-                    let model = ModelId::ALL[mi];
-                    let engine =
-                        match kstate {
-                            KernelState::EdfFastest => {
-                                let row = prefs.row(mi, |row| {
-                                    row.sort_unstable_by(|&a, &b| {
-                                        cache
-                                            .cost(model, a as usize)
-                                            .latency_s
-                                            .total_cmp(&cache.cost(model, b as usize).latency_s)
-                                            .then(a.cmp(&b))
-                                    });
-                                });
-                                *row.iter().find(|&&e| free.contains(e as usize)).expect(
-                                    "free set is non-empty, so some preferred engine is free",
-                                ) as usize
-                            }
-                            KernelState::EdfOutages { outages } => {
-                                let row = prefs.row(mi, |row| {
-                                    row.sort_unstable_by(|&a, &b| {
-                                        outages[a as usize]
-                                            .cmp(&outages[b as usize])
-                                            .then(
-                                                cache.cost(model, a as usize).latency_s.total_cmp(
-                                                    &cache.cost(model, b as usize).latency_s,
-                                                ),
-                                            )
-                                            .then(a.cmp(&b))
-                                    });
-                                });
-                                *row.iter().find(|&&e| free.contains(e as usize)).expect(
-                                    "free set is non-empty, so some preferred engine is free",
-                                ) as usize
-                            }
-                            KernelState::FifoRotate { next_engine } => {
-                                let e = free
-                                    .first_at_or_above(*next_engine)
-                                    .unwrap_or_else(|| free.lowest());
-                                // Mirrors RoundRobin::select's cursor
-                                // update, including reading the free count
-                                // *before* this dispatch occupies `e`.
-                                *next_engine = (e + 1) % usize::max(1, e + 1).max(free.count);
-                                e
-                            }
-                            KernelState::FifoLeastLoaded { loads } => {
-                                let mut best = usize::MAX;
-                                let mut best_load = f64::INFINITY;
-                                free.for_each(|e| {
-                                    // Strictly-less keeps the lowest id on
-                                    // ties, matching `min_by`'s first-min.
-                                    if loads[e].total_cmp(&best_load).is_lt() {
-                                        best_load = loads[e];
-                                        best = e;
-                                    }
-                                });
-                                loads[best] += cache.cost(model, best).latency_s;
-                                best
-                            }
-                        };
+                    let pick = match *kstate {
+                        KernelState::EdfSlackFastest => {
+                            slack_pick(ready.model_lists(), &mut prefs, &free, &cache, now)
+                        }
+                        _ => ready.min_key().map(|key| {
+                            (
+                                key,
+                                tree_engine(kstate, key % nm, &mut prefs, &free, &cache),
+                            )
+                        }),
+                    };
+                    let Some((key, engine)) = pick else { break };
+                    let model = ModelId::ALL[key % nm];
                     let (frame_id, sensor_frame, t_req, t_deadline, _frac) = ready.take_key(key);
                     let cost = cache.cost(model, engine);
                     let t_end = now + cost.latency_s;

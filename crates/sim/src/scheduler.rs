@@ -44,7 +44,10 @@ pub struct PendingView {
 /// `(user, model)`, both orders are strict total orders and the
 /// minimum is unique — which is what lets the engine replace the
 /// per-pick linear scan with an indexed argmin and still reproduce
-/// `select`'s picks bit-for-bit.
+/// `select`'s picks bit-for-bit. [`DispatchKernel::EdfSlackFastestEngine`]
+/// is the one variant whose request choice also depends on the
+/// engines: it takes the EDF-least request among those its fastest
+/// free engine can still finish in time (see the variant's docs).
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchKernel {
@@ -78,6 +81,31 @@ pub enum DispatchKernel {
         /// vector's length read as `0`).
         outages: Vec<u64>,
     },
+    /// EDF request order restricted to *salvageable* requests, each on
+    /// its model's fastest free engine ([`SlackAwareEdf`]). The closed
+    /// form of `select`:
+    ///
+    /// * **Fastest engine per model.** For model *m*, *e_m* is the
+    ///   first free engine in *m*'s `(latency, engine id)` order (under
+    ///   `f64::total_cmp`) whose latency is not NaN; *L_m* is its
+    ///   latency.
+    /// * **Salvageable.** Request *r* of model *m* is salvageable iff
+    ///   `now + L_m <= r.t_deadline + 1e-15` — `select`'s own
+    ///   expression. Feasibility is monotone in latency and a NaN
+    ///   latency is never feasible, so *r* has a feasible free engine
+    ///   iff *e_m* is feasible, and the fastest feasible engine is
+    ///   *e_m*. A NaN deadline is never salvageable.
+    /// * **Pick.** The EDF-least salvageable request runs on its
+    ///   *e_m*. If nothing is salvageable, the EDF-least request runs
+    ///   on the first free engine of its model's order, NaN latencies
+    ///   included (`select`'s fallback).
+    ///
+    /// Within one model the salvageable requests form a suffix of the
+    /// EDF order once NaN deadlines are set aside (negative NaNs sort
+    /// first under `total_cmp`, positive NaNs last), so the engine
+    /// keeps one EDF-sorted list per model and finds each model's
+    /// candidate by binary search. The rule is stateless.
+    EdfSlackFastestEngine,
 }
 
 /// An inference dispatcher: repeatedly asked to pick one
@@ -245,6 +273,14 @@ impl Scheduler for RoundRobin {
 /// that are already lost causes on every free engine don't block
 /// salvageable ones behind them; if nothing is salvageable, the most
 /// urgent request runs on the fastest engine to limit the overrun.
+///
+/// `select` is the literal rule. Fault-free runs use its closed form,
+/// [`DispatchKernel::EdfSlackFastestEngine`]: a request is salvageable
+/// iff its model's fastest free engine with a non-NaN latency meets
+/// the deadline, so the pick is the EDF-least such request on that
+/// engine. NaN latencies are never feasible and NaN deadlines never
+/// salvageable; both still take part in the everything-is-late
+/// fallback.
 #[derive(Debug, Clone, Default)]
 pub struct SlackAwareEdf {
     _private: (),
@@ -318,6 +354,10 @@ impl Scheduler for SlackAwareEdf {
 
     fn name(&self) -> &'static str {
         "slack-edf"
+    }
+
+    fn dispatch_kernel(&self) -> Option<DispatchKernel> {
+        Some(DispatchKernel::EdfSlackFastestEngine)
     }
 }
 

@@ -10,8 +10,11 @@ use proptest::prelude::*;
 use xrbench::costmodel::{evaluate_layers, Dataflow, HardwareConfig, Layer};
 use xrbench::models::{zoo, InputSource, ModelId};
 use xrbench::prelude::*;
-use xrbench::sim::{ExecRecord, FailoverAware, FaultProcess, RecoveryPolicy, UniformProvider};
-use xrbench::workload::DependencyKind;
+use xrbench::sim::{
+    ExecRecord, FailoverAware, FaultProcess, InferenceCost, RecoveryPolicy, TableProvider,
+    UniformProvider,
+};
+use xrbench::workload::{DependencyKind, InferenceRequest};
 
 fn scenario_strategy() -> impl Strategy<Value = UsageScenario> {
     prop::sample::select(UsageScenario::ALL.to_vec())
@@ -66,9 +69,30 @@ fn random_spec(state: &mut u64, name: &str) -> ScenarioSpec {
 }
 
 /// All five shipped schedulers — the differential suites must cover
-/// every one, kernel-declaring (LatencyGreedy, RoundRobin, LeastLoaded,
-/// FailoverAware) and opaque (SlackAwareEdf) alike.
+/// every one. Each declares a dispatch kernel, so on fault-free runs
+/// these suites compare every kernel against its scheduler's `select`,
+/// which the reference loop calls.
 const NUM_SCHEDULERS: usize = 5;
+
+/// A heterogeneous system drawn from `st`: per-`(model, engine)`
+/// latencies from a small palette, so exact ties between engines are
+/// common, and a last engine several times slower than the rest, so it
+/// misses deadlines the fast engines still meet.
+fn random_table(st: &mut u64, engines: usize) -> TableProvider {
+    let palette = [0.0004, 0.002, 0.002, 0.009, 0.035];
+    let slow = [3.0, 10.0, 40.0][pick(st, 3)];
+    TableProvider::from_fn(engines, |_, e| {
+        let latency = palette[pick(st, palette.len())];
+        InferenceCost {
+            latency_s: if e + 1 == engines {
+                latency * slow
+            } else {
+                latency
+            },
+            energy_j: 0.001,
+        }
+    })
+}
 
 fn scheduler_for(idx: usize) -> Box<dyn Scheduler> {
     match idx % NUM_SCHEDULERS {
@@ -273,6 +297,45 @@ proptest! {
     }
 
     #[test]
+    fn calendar_engine_matches_naive_loop_on_heterogeneous_engines(
+        structure in 0u64..u64::MAX,
+        seed in 0u64..5000,
+    ) {
+        // The fault-free differential on unequal engines. With equal
+        // engines "the fastest free engine meets the deadline" and
+        // "some free engine meets it" always agree; drawn per-engine
+        // latencies with ties and a slow engine make them differ, which
+        // is what the slack-aware kernel's closed form must get right.
+        let mut st = structure;
+        let spec_count = 1 + pick(&mut st, 3);
+        let specs: Vec<ScenarioSpec> = (0..spec_count)
+            .map(|i| random_spec(&mut st, &format!("hrand-{i}")))
+            .collect();
+        let users = 1 + pick(&mut st, 6) as u32;
+        let stagger = [0.0, 0.003, 0.017][pick(&mut st, 3)];
+        let session = SessionSpec::mixed("heterogeneous", &specs, users, stagger);
+        let engines = 2 + pick(&mut st, 4);
+        let provider = random_table(&mut st, engines);
+        let sim = Simulator::new(SimConfig { duration_s: 1.0, seed });
+        for sched_idx in 0..NUM_SCHEDULERS {
+            let fast = sim.run_session(&session, &provider, scheduler_for(sched_idx).as_mut());
+            let slow = sim.run_session_reference(
+                &session,
+                &provider,
+                scheduler_for(sched_idx).as_mut(),
+            );
+            prop_assert_eq!(
+                fast,
+                slow,
+                "engines diverge: {} users, {} engines, scheduler {}",
+                users,
+                engines,
+                sched_idx
+            );
+        }
+    }
+
+    #[test]
     fn calendar_engine_matches_naive_loop_under_faults(
         structure in 0u64..u64::MAX,
         seed in 0u64..5000,
@@ -358,4 +421,128 @@ proptest! {
             prop_assert_eq!(&r.stats, &rf.stats, "faulted fold changed stats for user {}", u);
         }
     }
+}
+
+/// A stream over four camera models whose deadlines hit the slack-aware
+/// rule's edges: a deadline salvageable only through the `1e-15`
+/// tolerance, positive and negative NaN, and both infinities. Hand
+/// tracking always has an infinite deadline.
+fn edge_requests() -> Vec<InferenceRequest> {
+    use ModelId::{DepthEstimation, EyeSegmentation, HandTracking, ObjectDetection};
+    let inf = f64::INFINITY;
+    let mut reqs = vec![
+        (0.0, HandTracking, inf),
+        (0.0, DepthEstimation, 0.1 - 5e-16),
+        (0.0, EyeSegmentation, f64::NAN),
+        (0.0, ObjectDetection, 1.0),
+        (0.01, EyeSegmentation, -f64::NAN),
+        (0.01, ObjectDetection, f64::NEG_INFINITY),
+    ];
+    let models = [
+        HandTracking,
+        EyeSegmentation,
+        DepthEstimation,
+        ObjectDetection,
+    ];
+    let slack = [0.05, f64::NAN, inf, 0.3, f64::NEG_INFINITY, -f64::NAN, 0.12];
+    for i in 0..32 {
+        let t = 0.02 + 0.03 * i as f64;
+        let deadline = match models[i % 4] {
+            HandTracking => inf,
+            _ => t + slack[i % slack.len()],
+        };
+        reqs.push((t, models[i % 4], deadline));
+    }
+    let mut next_frame = [0u64; 11];
+    reqs.into_iter()
+        .map(|(t_req, model, t_deadline)| {
+            let frame = &mut next_frame[model as usize];
+            *frame += 1;
+            InferenceRequest {
+                model,
+                frame_id: *frame,
+                sensor_frame: *frame,
+                t_req,
+                t_deadline,
+            }
+        })
+        .collect()
+}
+
+/// Four engines: hand tracking runs at `hand_on_0` on engine 0, depth
+/// estimation takes exactly 0.1 s on engines 0–2, engine 3 is slow.
+fn edge_provider(hand_on_0: f64) -> TableProvider {
+    use ModelId::{DepthEstimation, HandTracking};
+    TableProvider::from_fn(4, |model, e| InferenceCost {
+        latency_s: match (model, e) {
+            (HandTracking, 0) => hand_on_0,
+            (DepthEstimation, 3) => 0.3,
+            (DepthEstimation, _) => 0.1,
+            (_, 3) => 0.08,
+            _ => 0.004,
+        },
+        energy_j: 0.001,
+    })
+}
+
+fn edge_spec() -> ScenarioSpec {
+    use ModelId::{DepthEstimation, EyeSegmentation, HandTracking, ObjectDetection};
+    ScenarioBuilder::new("edges")
+        .model(HandTracking, 30.0)
+        .model(EyeSegmentation, 30.0)
+        .model(DepthEstimation, 30.0)
+        .model(ObjectDetection, 30.0)
+        .build()
+        .expect("valid edge spec")
+}
+
+/// Runs the edge stream through the engine and the reference loop and
+/// returns both results as text: NaN fields defeat `PartialEq`, and
+/// `Debug` prints every float exactly, so equal text is equal output.
+fn edge_run(provider: &TableProvider, idx: usize) -> (String, String, usize) {
+    let sim = Simulator::new(SimConfig {
+        duration_s: 1.0,
+        seed: 7,
+    });
+    let spec = edge_spec();
+    let fast = sim.run_requests(
+        &spec,
+        edge_requests(),
+        provider,
+        scheduler_for(idx).as_mut(),
+    );
+    let slow = sim.run_requests_reference(
+        &spec,
+        edge_requests(),
+        provider,
+        scheduler_for(idx).as_mut(),
+    );
+    assert!(
+        fast.records.iter().all(|r| !r.t_end.is_nan()),
+        "a NaN-latency engine ran work, scheduler {idx}"
+    );
+    (format!("{fast:?}"), format!("{slow:?}"), fast.records.len())
+}
+
+#[test]
+fn engine_matches_naive_loop_on_nan_and_infinite_edges() {
+    // NaN, infinite, and tolerance-edge deadlines under every
+    // scheduler.
+    for idx in 0..NUM_SCHEDULERS {
+        let (fast, slow, ran) = edge_run(&edge_provider(0.006), idx);
+        assert_eq!(
+            fast, slow,
+            "engines diverge on edge deadlines, scheduler {idx}"
+        );
+        assert!(ran > 30, "edge stream barely ran: {ran} records");
+    }
+    // Slack-aware EDF with a NaN-latency engine: negative NaN, which
+    // `total_cmp` ranks fastest, so a kernel that judged hand tracking
+    // against it would find nothing salvageable. The stream keeps hand
+    // tracking salvageable, so `select` never runs it there.
+    let (fast, slow, _) = edge_run(&edge_provider(-f64::NAN), 2);
+    assert_eq!(
+        fast, slow,
+        "slack-aware kernel diverges with a NaN-latency engine"
+    );
 }

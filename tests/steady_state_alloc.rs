@@ -16,7 +16,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xrbench::sim::{LatencyGreedy, SimConfig, Simulator, UniformProvider};
+use xrbench::sim::{
+    LatencyGreedy, Scheduler, SimConfig, Simulator, SlackAwareEdf, UniformProvider,
+};
 use xrbench::workload::{ScenarioCatalog, ScenarioSpec, SessionSpec};
 
 /// Counts every allocation routed through the global allocator.
@@ -60,9 +62,19 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_loop_does_not_allocate() {
+    // Two dispatch kernels: LatencyGreedy's pick tree and
+    // SlackAwareEdf's per-model EDF lists, which must never grow past
+    // their set-up capacity.
+    assert_window_allocation_free("latency-greedy", &|| Box::new(LatencyGreedy::new()));
+    assert_window_allocation_free("slack-edf", &|| Box::new(SlackAwareEdf::new()));
+}
+
+/// Runs a folded session under `scheduler()` twice and asserts the
+/// second run allocates nothing between its checkpoints.
+fn assert_window_allocation_free(name: &str, scheduler: &dyn Fn() -> Box<dyn Scheduler>) {
     // A mixed multi-user session over every built-in scenario:
     // dependencies, cascades, supersession, and the kernel dispatch
-    // fast path (LatencyGreedy) are all on the measured path.
+    // fast path are all on the measured path.
     let users = 64u32;
     let provider = UniformProvider::new(8, 0.001, 0.001);
     let specs: Vec<ScenarioSpec> = ScenarioCatalog::builtin().iter().cloned().collect();
@@ -73,15 +85,12 @@ fn steady_state_loop_does_not_allocate() {
     // Sizing pass: learn the record count so the checkpoints can sit
     // at fixed fractions of the run.
     let mut total = 0u64;
-    sim.run_session_folded(
-        &session,
-        &provider,
-        &mut LatencyGreedy::new(),
-        &mut |_, _| total += 1,
-    );
+    sim.run_session_folded(&session, &provider, scheduler().as_mut(), &mut |_, _| {
+        total += 1
+    });
     assert!(
         total > 1000,
-        "alloc probe needs a substantial run, got {total} records"
+        "{name}: alloc probe needs a substantial run, got {total} records"
     );
 
     // Measured pass: warm-up ends at half the run (transient Vec
@@ -92,33 +101,32 @@ fn steady_state_loop_does_not_allocate() {
     let mut seen = 0u64;
     let mut at_warmup = 0u64;
     let mut at_end = 0u64;
-    sim.run_session_folded(
-        &session,
-        &provider,
-        &mut LatencyGreedy::new(),
-        &mut |_, _| {
-            seen += 1;
-            if seen == warmup_end {
-                at_warmup = ALLOCATIONS.load(Ordering::Relaxed);
-                TRACE.store(1, Ordering::Relaxed);
-            } else if seen == window_end {
-                at_end = ALLOCATIONS.load(Ordering::Relaxed);
-                TRACE.store(0, Ordering::Relaxed);
-            }
-        },
-    );
-    assert!(seen == total, "replay diverged: {seen} != {total}");
+    let mut sched = scheduler();
+    sim.run_session_folded(&session, &provider, sched.as_mut(), &mut |_, _| {
+        seen += 1;
+        if seen == warmup_end {
+            at_warmup = ALLOCATIONS.load(Ordering::Relaxed);
+            TRACE.store(1, Ordering::Relaxed);
+        } else if seen == window_end {
+            at_end = ALLOCATIONS.load(Ordering::Relaxed);
+            TRACE.store(0, Ordering::Relaxed);
+        }
+    });
+    assert!(seen == total, "{name}: replay diverged: {seen} != {total}");
     let sizes: Vec<u64> = TRACE_SIZES
         .iter()
         .map(|s| s.load(Ordering::Relaxed))
         .filter(|&s| s != 0)
         .collect();
-    eprintln!("window alloc sizes (realloc = 1e6 + size): {sizes:?}");
-    assert!(at_warmup > 0 && at_end > 0, "checkpoints never fired");
+    eprintln!("{name}: window alloc sizes (realloc = 1e6 + size): {sizes:?}");
+    assert!(
+        at_warmup > 0 && at_end > 0,
+        "{name}: checkpoints never fired"
+    );
     assert_eq!(
         at_end - at_warmup,
         0,
-        "steady-state loop allocated {} times between {}% and {}% of the run",
+        "{name}: steady-state loop allocated {} times between {}% and {}% of the run",
         at_end - at_warmup,
         100 * warmup_end / total,
         100 * window_end / total,
