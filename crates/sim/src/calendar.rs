@@ -202,6 +202,19 @@ impl CalendarQueue {
         }
     }
 
+    /// Moves every queued event onto `out` (unsorted), including ones
+    /// no finite bound drains: infinite and NaN times.
+    pub(crate) fn drain_all(&mut self, out: &mut Vec<CompletionEv>) {
+        let mut mask = self.occupied;
+        while mask != 0 {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            out.append(&mut self.buckets[b]);
+        }
+        self.occupied = 0;
+        self.len = 0;
+    }
+
     /// The earliest queued event time, scanning the occupied buckets
     /// (O(engines) — the calendar never holds more than the in-flight
     /// window).

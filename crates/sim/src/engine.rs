@@ -34,6 +34,16 @@
 //!   footprint collapse from `users × models` heap vectors to one
 //!   shared table plus a `user → scenario` index.
 //!
+//! Arrivals are consumed one at a time from the **merged stream**: any
+//! iterator over user-tagged requests in time order. Sessions and
+//! scenarios hand over the lazy
+//! [`MergedStream`](xrbench_workload::MergedStream), which draws the
+//! `(user, model)` requests one short time window at a time as the
+//! loop reaches them, so arrival memory is `O(users × models)` rather
+//! than `O(requests)`; explicit
+//! request vectors (`Simulator::run_requests`) go through the same
+//! generic entry.
+//!
 //! Output is **bit-identical** to the reference loop in
 //! [`crate::naive`]; the differential property tests in
 //! `tests/runtime_properties.rs` and the golden suite fixtures enforce
@@ -44,14 +54,14 @@
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use xrbench_models::ModelId;
-use xrbench_workload::ScenarioSpec;
+use xrbench_workload::{ScenarioSpec, SessionRequest};
 
 use crate::calendar::{CalendarQueue, CompletionEv};
 use crate::fault::{FaultAction, FaultKind, FaultTimeline, RecoveryPolicy};
 use crate::provider::{CostProvider, DenseCostCache, NUM_MODELS};
 use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
 use crate::scheduler::{DispatchKernel, PendingView, Scheduler};
-use crate::simulator::{trigger_draw, Pending, Resolution, SimConfig, EPS};
+use crate::simulator::{trigger_draw, Resolution, SimConfig, EPS};
 
 /// Sentinel for "slot empty" in the SoA queues (a real sequence number
 /// never reaches it: sequence numbers count queue insertions).
@@ -68,6 +78,15 @@ const fn time_bits(x: f64) -> u64 {
     } else {
         b | (1 << 63)
     }
+}
+
+/// Whether a dispatch ending at `t_end` keeps its engine busy past
+/// `now`: anything but a sub-epsilon latency, NaN included. A NaN end
+/// time never arrives, so the engine stays busy for the rest of the run
+/// — the reference loop's `engine_free_at <= now + EPS` test.
+#[inline]
+fn holds_engine(t_end: f64, now: f64) -> bool {
+    t_end > now + EPS || t_end.is_nan()
 }
 
 /// The inverse of [`time_bits`].
@@ -1234,9 +1253,9 @@ fn slack_pick(
     Some((key, first_free(row, free)))
 }
 
-/// The production event loop over user-tagged requests (`requests`
-/// must be sorted by `t_req`, and strictly frame-monotone per
-/// `(user, model)`), with optional fault injection. Returns one
+/// The production event loop over the merged arrival stream
+/// (`arrivals` must be sorted by `t_req`, and strictly frame-monotone
+/// per `(user, model)`), with optional fault injection. Returns one
 /// [`SimResult`] per user, bit-identical to
 /// [`crate::naive::run_tagged_naive`]. In `Fold` mode the returned
 /// [`SimResult`]s carry empty `records` vectors (stats are still
@@ -1247,7 +1266,7 @@ fn slack_pick(
 pub(crate) fn run_tagged(
     config: SimConfig,
     specs: &[(u32, &ScenarioSpec)],
-    requests: Vec<Pending>,
+    arrivals: impl Iterator<Item = SessionRequest>,
     provider: &dyn CostProvider,
     scheduler: &mut dyn Scheduler,
     duration_s: f64,
@@ -1325,7 +1344,7 @@ pub(crate) fn run_tagged(
         revoked: BTreeSet::new(),
     });
 
-    let mut arrivals = requests.into_iter().peekable();
+    let mut arrivals = arrivals.peekable();
     let mut now = 0.0_f64;
 
     loop {
@@ -1678,7 +1697,7 @@ pub(crate) fn run_tagged(
                             },
                         );
                     }
-                    if t_end > now + EPS {
+                    if holds_engine(t_end, now) {
                         engine_token[engine] = Some(token);
                         free.remove(engine);
                     }
@@ -1737,7 +1756,7 @@ pub(crate) fn run_tagged(
                     }
                     let token = next_token;
                     next_token += 1;
-                    if t_end > now + EPS {
+                    if holds_engine(t_end, now) {
                         engine_token[engine] = Some(token);
                         free.remove(engine);
                     }
@@ -1791,10 +1810,14 @@ pub(crate) fn run_tagged(
         scheduler.absorb_kernel(kernel_export(kstate));
     }
 
-    // Completions stashed as due when the loop ended (possible only
-    // with sub-epsilon latencies) did execute; surface their deferred
-    // records in faulted mode (the clean path emitted at dispatch).
+    // Dispatches still open when the loop ended — stashed sub-epsilon
+    // completions, and ones whose infinite or NaN end time never
+    // arrives — were not revoked; surface their deferred records in
+    // faulted mode in the total order, as the reference loop does (the
+    // clean path emitted at dispatch).
     if let Some(f) = fstate.as_mut() {
+        calendar.drain_all(&mut due);
+        due.sort_unstable();
         for ev in due.drain(..) {
             if f.revoked.remove(&ev.token) {
                 continue;

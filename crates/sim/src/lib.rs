@@ -28,8 +28,9 @@
 //! lost engine dropped, requeued, or migrated per [`RecoveryPolicy`].
 //!
 //! Multi-user sessions ([`xrbench_workload::SessionSpec`]) run through
-//! [`Simulator::run_session`]: the merged request stream of all users
-//! shares the engines concurrently, and the result splits back into
+//! [`Simulator::run_session`]: the merged request stream of all users,
+//! drawn lazily a short time window ahead of the engine, shares the
+//! engines concurrently, and the result splits back into
 //! per-user [`SimResult`]s inside a [`SessionSimResult`].
 //!
 //! ## Example

@@ -34,14 +34,14 @@
 use std::collections::BTreeMap;
 
 use xrbench_models::ModelId;
-use xrbench_workload::ScenarioSpec;
+use xrbench_workload::{ScenarioSpec, SessionRequest};
 
 use crate::engine::FaultCtx;
 use crate::fault::{FaultAction, FaultKind, RecoveryPolicy};
 use crate::provider::{CostProvider, NUM_MODELS};
 use crate::result::{DropReason, ExecRecord, ModelStats, SimResult};
 use crate::scheduler::{PendingView, Scheduler};
-use crate::simulator::{trigger_all, Pending, Resolution, SimConfig, EPS};
+use crate::simulator::{trigger_all, Resolution, SimConfig, EPS};
 
 /// One dispatched inference awaiting its completion event.
 struct Completion {
@@ -53,7 +53,7 @@ struct Completion {
     engine: usize,
     /// Set when a fault revoked the dispatch.
     revoked: bool,
-    p: Pending,
+    p: SessionRequest,
     t_start: f64,
     /// Remaining-work fraction the dispatch carried.
     frac: f64,
@@ -71,12 +71,13 @@ impl Completion {
 }
 
 /// The original O(n²) event loop over user-tagged requests (`requests`
-/// must be sorted by `t_req`), with optional fault injection. Returns
-/// one [`SimResult`] per user.
+/// must be sorted by `t_req`; sessions pass their merged stream,
+/// collected), with optional fault injection. Returns one
+/// [`SimResult`] per user.
 pub(crate) fn run_tagged_naive(
     config: SimConfig,
     specs: &[(u32, &ScenarioSpec)],
-    requests: Vec<Pending>,
+    requests: Vec<SessionRequest>,
     provider: &dyn CostProvider,
     scheduler: &mut dyn Scheduler,
     duration_s: f64,
@@ -122,11 +123,11 @@ pub(crate) fn run_tagged_naive(
     let fault_events = faults.as_ref().map_or(&[][..], |f| f.timeline.events());
     let mut fault_cursor = 0;
     // Ready requests with their remaining-work fraction.
-    let mut ready: Vec<(Pending, f64)> = Vec::new();
+    let mut ready: Vec<(SessionRequest, f64)> = Vec::new();
     // (user, upstream model, sensor frame) -> resolution.
     let mut resolved: BTreeMap<(u32, ModelId, u64), Resolution> = BTreeMap::new();
     // Dependents that arrived before their upstream resolved.
-    let mut waiting: Vec<Pending> = Vec::new();
+    let mut waiting: Vec<SessionRequest> = Vec::new();
     let mut completions: Vec<Completion> = Vec::new();
     let mut next_token = 0u64;
     let mut records: BTreeMap<u32, Vec<ExecRecord>> =
@@ -138,9 +139,11 @@ pub(crate) fn run_tagged_naive(
     loop {
         // 1. Process completions due now (resolve dependents; faulted
         //    runs also emit their stats and records here).
+        //    A never-ending (NaN) completion may sort anywhere, so
+        //    every due one is taken, not just a due prefix.
         completions.sort_by(Completion::order);
-        while completions.first().is_some_and(|c| c.t_end <= now + EPS) {
-            let c = completions.remove(0);
+        while let Some(i) = completions.iter().position(|c| c.t_end <= now + EPS) {
+            let c = completions.remove(i);
             if c.revoked {
                 continue;
             }
@@ -407,8 +410,8 @@ fn emit(
 /// (freshness policy), updating drop stats.
 fn drop_older<T>(
     queue: &mut Vec<T>,
-    pending: impl Fn(&T) -> &Pending,
-    newer: &Pending,
+    pending: impl Fn(&T) -> &SessionRequest,
+    newer: &SessionRequest,
     stats: &mut BTreeMap<(u32, ModelId), ModelStats>,
 ) {
     queue.retain(|entry| {

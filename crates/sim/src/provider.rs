@@ -23,6 +23,15 @@ pub struct InferenceCost {
 /// Implementations may be analytical cost models, measurement tables,
 /// or adapters to real hardware. Engines are identified by dense
 /// indices `0..num_engines()`.
+///
+/// **Non-finite latencies.** A dispatch whose latency is NaN or `+∞`
+/// never completes: its engine stays busy for the rest of the run,
+/// dependents waiting on its frame never resolve, and its record
+/// carries the NaN or infinite `t_end`. It still counts as executed —
+/// at dispatch on fault-free runs, and at the end of the run on
+/// faulted ones unless an outage revokes it first. A NaN `t_end` never
+/// counts as a missed deadline (`NaN > t_deadline` is false). The
+/// production engine and the reference loop implement exactly this.
 pub trait CostProvider {
     /// Number of independent compute engines.
     fn num_engines(&self) -> usize;

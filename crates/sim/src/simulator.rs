@@ -18,7 +18,10 @@
 //! The same event loop serves two entry points: [`Simulator::run`] /
 //! [`Simulator::run_requests`] for a single scenario, and
 //! [`Simulator::run_session`] for a multi-user [`SessionSpec`] whose
-//! merged stream shares the engines concurrently. Internally every
+//! merged stream shares the engines concurrently. The merged stream is
+//! drawn lazily ([`SessionSpec::stream`], [`LoadGenerator::stream`]),
+//! one short time window ahead of the engine, so no run materializes
+//! or sorts its whole request list. Internally every
 //! request carries a user tag (0 for single-scenario runs), and all
 //! dependency/freshness bookkeeping is keyed per `(user, model)` so
 //! users never interfere with each other's cascades — only with each
@@ -40,7 +43,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xrbench_models::ModelId;
-use xrbench_workload::{InferenceRequest, LoadGenerator, ScenarioSpec, SessionSpec};
+use xrbench_workload::{
+    InferenceRequest, LoadGenerator, MergedStream, ScenarioSpec, SessionRequest, SessionSpec,
+};
 
 use crate::engine::{FaultCtx, RecordMode};
 use crate::provider::CostProvider;
@@ -80,13 +85,6 @@ pub struct Simulator {
 pub(crate) enum Resolution {
     Completed,
     Dropped,
-}
-
-/// A user-tagged inference request flowing through the event loop.
-#[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    pub(crate) user: u32,
-    pub(crate) req: InferenceRequest,
 }
 
 /// One deterministic cascade-trigger draw: seeded per
@@ -139,15 +137,16 @@ impl Simulator {
         self.config
     }
 
-    /// Generates the scenario's request stream and simulates it.
+    /// Simulates the scenario's merged request stream, drawn lazily
+    /// from [`LoadGenerator::stream`].
     pub fn run(
         &self,
         spec: &ScenarioSpec,
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SimResult {
-        let requests = LoadGenerator::new(self.config.seed).generate(spec, self.config.duration_s);
-        self.run_requests(spec, requests, provider, scheduler)
+        let arrivals = LoadGenerator::new(self.config.seed).stream(spec, self.config.duration_s);
+        self.run_scenario(spec, arrivals, provider, scheduler)
     }
 
     /// Simulates an explicit, pre-generated request stream (must be
@@ -171,14 +170,24 @@ impl Simulator {
             requests.windows(2).all(|w| w[0].t_req <= w[1].t_req),
             "requests must be sorted by t_req"
         );
-        let tagged = requests
+        let arrivals = requests
             .into_iter()
-            .map(|req| Pending { user: 0, req })
-            .collect();
+            .map(|req| SessionRequest { user: 0, req });
+        self.run_scenario(spec, arrivals, provider, scheduler)
+    }
+
+    /// Runs the engine over one scenario's user-0 arrivals.
+    fn run_scenario(
+        &self,
+        spec: &ScenarioSpec,
+        arrivals: impl Iterator<Item = SessionRequest>,
+        provider: &dyn CostProvider,
+        scheduler: &mut dyn Scheduler,
+    ) -> SimResult {
         let mut per_user = crate::engine::run_tagged(
             self.config,
             &[(0, spec)],
-            tagged,
+            arrivals,
             provider,
             scheduler,
             self.config.duration_s,
@@ -311,8 +320,8 @@ impl Simulator {
         )
     }
 
-    /// The shared body of the session methods: generates the merged
-    /// stream, expands the fault process (if any), runs the engine, and
+    /// The shared body of the session methods: runs the engine over the
+    /// merged stream, with the fault process (if any) expanded, and
     /// packages the per-user results.
     fn run_session_with(
         &self,
@@ -322,11 +331,11 @@ impl Simulator {
         faults: Option<(&crate::FaultProcess, crate::RecoveryPolicy)>,
         mode: RecordMode<'_>,
     ) -> SessionSimResult {
-        self.session_with(session, provider, faults, |specs, tagged, span_s, ctx| {
+        self.session_with(session, provider, faults, |specs, arrivals, span_s, ctx| {
             crate::engine::run_tagged(
                 self.config,
                 specs,
-                tagged,
+                arrivals,
                 provider,
                 scheduler,
                 span_s,
@@ -345,12 +354,12 @@ impl Simulator {
         faults: Option<(&crate::FaultProcess, crate::RecoveryPolicy)>,
         run: impl FnOnce(
             &[(u32, &ScenarioSpec)],
-            Vec<Pending>,
+            MergedStream,
             f64,
             Option<FaultCtx<'_>>,
         ) -> BTreeMap<u32, SimResult>,
     ) -> SessionSimResult {
-        let (specs, tagged, span_s) = self.session_inputs(session);
+        let (specs, arrivals, span_s) = self.session_inputs(session);
         let timeline =
             faults.and_then(|(process, _)| self.expand_timeline(process, provider, span_s));
         let ctx = timeline
@@ -358,7 +367,7 @@ impl Simulator {
             .zip(faults)
             .map(|(timeline, (_, policy))| FaultCtx { timeline, policy });
         let per_user: Vec<(u32, SimResult)> =
-            run(&specs, tagged, span_s, ctx).into_iter().collect();
+            run(&specs, arrivals, span_s, ctx).into_iter().collect();
         SessionSimResult {
             session: session.name.clone(),
             per_user,
@@ -396,24 +405,16 @@ impl Simulator {
         }
     }
 
-    /// Prepares the merged, user-tagged session stream.
+    /// Prepares the session's merged, user-tagged arrival stream.
     fn session_inputs<'s>(
         &self,
         session: &'s SessionSpec,
-    ) -> (Vec<(u32, &'s ScenarioSpec)>, Vec<Pending>, f64) {
-        assert!(!session.users.is_empty(), "session has no users");
+    ) -> (Vec<(u32, &'s ScenarioSpec)>, MergedStream, f64) {
+        let arrivals = session.stream(self.config.seed, self.config.duration_s);
         let span_s = session.span_s(self.config.duration_s);
-        let merged = session.generate(self.config.seed, self.config.duration_s);
-        let tagged = merged
-            .into_iter()
-            .map(|r| Pending {
-                user: r.user,
-                req: r.req,
-            })
-            .collect();
         let specs: Vec<(u32, &ScenarioSpec)> =
             session.users.iter().map(|u| (u.user, &u.spec)).collect();
-        (specs, tagged, span_s)
+        (specs, arrivals, span_s)
     }
 
     /// Reference counterpart of [`Simulator::run_requests`] — the
@@ -433,7 +434,7 @@ impl Simulator {
         );
         let tagged = requests
             .into_iter()
-            .map(|req| Pending { user: 0, req })
+            .map(|req| SessionRequest { user: 0, req })
             .collect();
         let mut per_user = crate::naive::run_tagged_naive(
             self.config,
@@ -456,11 +457,11 @@ impl Simulator {
         provider: &dyn CostProvider,
         scheduler: &mut dyn Scheduler,
     ) -> SessionSimResult {
-        self.session_with(session, provider, None, |specs, tagged, span_s, _| {
+        self.session_with(session, provider, None, |specs, arrivals, span_s, _| {
             crate::naive::run_tagged_naive(
                 self.config,
                 specs,
-                tagged,
+                arrivals.collect(),
                 provider,
                 scheduler,
                 span_s,
@@ -484,11 +485,11 @@ impl Simulator {
             session,
             provider,
             Some((faults, policy)),
-            |specs, tagged, span_s, ctx| {
+            |specs, arrivals, span_s, ctx| {
                 crate::naive::run_tagged_naive(
                     self.config,
                     specs,
-                    tagged,
+                    arrivals.collect(),
                     provider,
                     scheduler,
                     span_s,

@@ -23,7 +23,9 @@
 //!   flow through load generation, simulation, and scoring exactly
 //!   like the built-ins;
 //! * multi-user [`SessionSpec`]s that overlay N staggered, jittered
-//!   scenario instances into one merged request stream ([`session`]);
+//!   scenario instances into one merged request stream ([`session`]),
+//!   drawn lazily by a windowed merge of per-`(user, model)` streams
+//!   whose memory is independent of the request count ([`merge`]);
 //! * a declarative JSON spec format for scenarios and sessions
 //!   ([`spec`]) whose loader funnels every document through the same
 //!   validated builder — text files get code's diagnostics;
@@ -47,6 +49,7 @@
 pub mod builder;
 pub mod catalog;
 pub mod loadgen;
+pub mod merge;
 pub mod scenario;
 pub mod session;
 pub mod sources;
@@ -56,6 +59,7 @@ pub mod spec;
 pub use builder::{ScenarioBuildError, ScenarioBuilder};
 pub use catalog::{CatalogError, ScenarioCatalog};
 pub use loadgen::{InferenceRequest, LoadGenerator};
+pub use merge::MergedStream;
 pub use scenario::{DependencyKind, ModelDependency, ScenarioModel, ScenarioSpec, UsageScenario};
 pub use session::{SessionRequest, SessionSpec, SessionUser};
 pub use sources::{source_spec, SourceSpec};

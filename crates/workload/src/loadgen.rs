@@ -18,8 +18,9 @@ use rand::{Rng, SeedableRng};
 
 use xrbench_models::ModelId;
 
-use crate::scenario::ScenarioSpec;
-use crate::sources::source_spec;
+use crate::merge::MergedStream;
+use crate::scenario::{ScenarioModel, ScenarioSpec};
+use crate::sources::{source_spec, SourceSpec};
 
 /// One inference request `IR = (µ, InFrameID)` (Definition 6) with its
 /// materialized timing.
@@ -62,56 +63,149 @@ impl LoadGenerator {
         Self { seed }
     }
 
-    /// Generates all inference requests for `spec` over `duration_s`
-    /// seconds, sorted by request time.
+    /// The merged request stream of `spec` over `duration_s` seconds,
+    /// drawn lazily (tagged user 0).
     ///
     /// Each model emits `⌈target_fps · duration⌉` requests — the
     /// paper requires a number of runs equal to the target processing
-    /// rate within the (default one-second) duration.
+    /// rate within the (default one-second) duration. Requests come in
+    /// `(t_req, position in spec.models)` order: the order a stable
+    /// sort by `t_req` gives.
     ///
     /// # Panics
     ///
-    /// Panics if `duration_s` is not positive.
-    pub fn generate(&self, spec: &ScenarioSpec, duration_s: f64) -> Vec<InferenceRequest> {
+    /// Panics if `duration_s` is not positive, or a model's target
+    /// rate exceeds its sensor's rate.
+    pub fn stream(&self, spec: &ScenarioSpec, duration_s: f64) -> MergedStream {
         assert!(duration_s > 0.0, "duration must be positive");
-        let mut out = Vec::new();
-        for sm in &spec.models {
-            let src = source_spec(sm.model.driving_source());
-            // A per-(model, scenario) RNG keeps streams independent.
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ (sm.model as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let n = (sm.target_fps * duration_s).ceil() as u64;
-            let ratio = src.fps / sm.target_fps;
-            assert!(
-                ratio >= 1.0 - 1e-9,
-                "{}: target rate {} exceeds sensor rate {}",
-                sm.model,
-                sm.target_fps,
-                src.fps
-            );
-            let linit = src.init_latency_ms / 1e3;
-            let jt = src.jitter_ms / 1e3;
-            for k in 0..n {
-                // Consumed sensor frames: floor(k * sensor/model) gives
-                // the 3:4 skip pattern for 45 FPS models on a 60 FPS
-                // camera and every-other-frame for 30 FPS models.
-                let sensor_frame = (k as f64 * ratio).floor() as u64;
-                let next_frame = ((k + 1) as f64 * ratio).floor() as u64;
-                let jitter = 2.0 * jt * (gaussian_unit(&mut rng) - 0.5);
-                let t_req = linit + sensor_frame as f64 / src.fps + jitter;
-                let t_deadline = linit + next_frame as f64 / src.fps;
-                out.push(InferenceRequest {
-                    model: sm.model,
-                    frame_id: k,
-                    sensor_frame,
-                    t_req,
-                    t_deadline,
-                });
-            }
+        MergedStream::new(
+            spec.models
+                .iter()
+                .enumerate()
+                .map(|(pos, sm)| {
+                    let src = source_spec(sm.model.driving_source());
+                    (
+                        0,
+                        pos as u64,
+                        ModelStream::new(self.seed, sm, src, duration_s, 0.0),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Generates all inference requests for `spec` over `duration_s`
+    /// seconds: [`LoadGenerator::stream`], collected.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`LoadGenerator::stream`].
+    pub fn generate(&self, spec: &ScenarioSpec, duration_s: f64) -> Vec<InferenceRequest> {
+        self.stream(spec, duration_s).map(|r| r.req).collect()
+    }
+}
+
+/// One model's request stream (Definitions 7 and 8), drawn lazily:
+/// request `k` is computed only when [`ModelStream::next_request`] asks
+/// for it, from the stream's own RNG, with the float operations of an
+/// eager loop over `k` in the same order — so every `t_req` and
+/// `t_deadline` is bit-identical however the streams interleave.
+#[derive(Debug, Clone)]
+pub(crate) struct ModelStream {
+    /// A per-(model, scenario) RNG keeps streams independent.
+    rng: StdRng,
+    model: ModelId,
+    /// The next frame index, and the stream's request count.
+    k: u64,
+    n: u64,
+    /// Sensor frames per model frame (`≥ 1`).
+    ratio: f64,
+    /// Frame `k`'s sensor frame and un-jittered arrival
+    /// `Linit + sensor_frame / fps`: the previous request's deadline
+    /// terms, carried over instead of recomputed.
+    sensor_frame: u64,
+    base: f64,
+    /// The sensor's rate, `Linit` and `Jt` (seconds).
+    fps: f64,
+    linit: f64,
+    jt: f64,
+    /// Added to both times after they are drawn (a session user's
+    /// start offset; `0.0` for a single scenario).
+    offset_s: f64,
+}
+
+impl ModelStream {
+    /// The stream of `sm` under the generator seed `seed`, driven by
+    /// `src` (the model's Table 3 sensor, outside of tests).
+    pub(crate) fn new(
+        seed: u64,
+        sm: &ScenarioModel,
+        src: SourceSpec,
+        duration_s: f64,
+        offset_s: f64,
+    ) -> Self {
+        let ratio = src.fps / sm.target_fps;
+        assert!(
+            ratio >= 1.0 - 1e-9,
+            "{}: target rate {} exceeds sensor rate {}",
+            sm.model,
+            sm.target_fps,
+            src.fps
+        );
+        let linit = src.init_latency_ms / 1e3;
+        Self {
+            rng: StdRng::seed_from_u64(
+                seed ^ (sm.model as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            model: sm.model,
+            k: 0,
+            n: (sm.target_fps * duration_s).ceil() as u64,
+            ratio,
+            sensor_frame: 0,
+            base: linit,
+            fps: src.fps,
+            linit,
+            jt: src.jitter_ms / 1e3,
+            offset_s,
         }
-        out.sort_by(|a, b| a.t_req.total_cmp(&b.t_req));
-        out
+    }
+
+    /// The smallest possible gap between two consecutive requests:
+    /// one sensor period less the two-sided jitter `2·Jt`.
+    pub(crate) fn min_gap_s(&self) -> f64 {
+        1.0 / self.fps - 2.0 * self.jt
+    }
+
+    /// The largest possible gap between two consecutive requests.
+    pub(crate) fn max_gap_s(&self) -> f64 {
+        self.ratio.ceil() / self.fps + 2.0 * self.jt
+    }
+
+    /// Draws the next request, or `None` once all `n` are out.
+    pub(crate) fn next_request(&mut self) -> Option<InferenceRequest> {
+        if self.k >= self.n {
+            return None;
+        }
+        let k = self.k;
+        self.k += 1;
+        // Consumed sensor frames: floor(k * sensor/model) gives the
+        // 3:4 skip pattern for 45 FPS models on a 60 FPS camera and
+        // every-other-frame for 30 FPS models. The deadline is the
+        // un-jittered arrival of the next consumed frame.
+        let sensor_frame = self.sensor_frame;
+        let next_frame = ((k + 1) as f64 * self.ratio).floor() as u64;
+        let next_base = self.linit + next_frame as f64 / self.fps;
+        let jitter = 2.0 * self.jt * (gaussian_unit(&mut self.rng) - 0.5);
+        let t_req = self.base + jitter;
+        self.sensor_frame = next_frame;
+        self.base = next_base;
+        Some(InferenceRequest {
+            model: self.model,
+            frame_id: k,
+            sensor_frame,
+            t_req: t_req + self.offset_s,
+            t_deadline: next_base + self.offset_s,
+        })
     }
 }
 

@@ -9,8 +9,10 @@
 //! toward serving production-scale populations rather than a single
 //! headset.
 
-use crate::loadgen::{InferenceRequest, LoadGenerator};
+use crate::loadgen::{InferenceRequest, ModelStream};
+use crate::merge::MergedStream;
 use crate::scenario::ScenarioSpec;
+use crate::sources::source_spec;
 
 /// One user's slot within a session.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,20 +146,22 @@ impl SessionSpec {
         max_offset + duration_s
     }
 
-    /// Generates the merged, time-sorted session request stream.
+    /// The merged session request stream, drawn lazily.
     ///
-    /// Each user's stream comes from its own [`LoadGenerator`] seeded
-    /// with `seed` mixed with the user id (user 0 sees exactly the
-    /// single-user stream for `seed`), then shifted by the user's
-    /// start offset.
+    /// Each user's streams use the [`LoadGenerator`](crate::LoadGenerator)
+    /// seed `seed` mixed with the user id (user 0 sees exactly the
+    /// single-user stream for `seed`), shifted by the user's start
+    /// offset. Requests come in `(t_req, user, model, frame_id)` order;
+    /// memory stays proportional to `users × models`, not to the
+    /// request count.
     ///
     /// # Panics
     ///
     /// Panics if the session has no users, user ids are not unique
     /// (the simulator keys all bookkeeping per user — duplicates would
-    /// silently merge two users' streams), or `duration_s` is not
-    /// positive.
-    pub fn generate(&self, seed: u64, duration_s: f64) -> Vec<SessionRequest> {
+    /// silently merge two users' streams), `duration_s` is not
+    /// positive, or a model's target rate exceeds its sensor's rate.
+    pub fn stream(&self, seed: u64, duration_s: f64) -> MergedStream {
         assert!(!self.users.is_empty(), "session has no users");
         let mut seen: Vec<u32> = self.users.iter().map(|u| u.user).collect();
         seen.sort_unstable();
@@ -168,24 +172,28 @@ impl SessionSpec {
             self.users.len(),
             seen.len()
         );
-        let mut out = Vec::new();
+        assert!(duration_s > 0.0, "duration must be positive");
+        let mut streams = Vec::new();
         for u in &self.users {
             let user_seed = seed ^ u64::from(u.user).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-            for mut req in LoadGenerator::new(user_seed).generate(&u.spec, duration_s) {
-                req.t_req += u.start_offset_s;
-                req.t_deadline += u.start_offset_s;
-                out.push(SessionRequest { user: u.user, req });
+            for sm in &u.spec.models {
+                let src = source_spec(sm.model.driving_source());
+                let tie = u64::from(u.user) << 32 | sm.model as u64;
+                let stream = ModelStream::new(user_seed, sm, src, duration_s, u.start_offset_s);
+                streams.push((u.user, tie, stream));
             }
         }
-        out.sort_by(|a, b| {
-            a.req
-                .t_req
-                .total_cmp(&b.req.t_req)
-                .then(a.user.cmp(&b.user))
-                .then(a.req.model.cmp(&b.req.model))
-                .then(a.req.frame_id.cmp(&b.req.frame_id))
-        });
-        out
+        MergedStream::new(streams)
+    }
+
+    /// Generates the merged, time-sorted session request stream:
+    /// [`SessionSpec::stream`], collected.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`SessionSpec::stream`].
+    pub fn generate(&self, seed: u64, duration_s: f64) -> Vec<SessionRequest> {
+        self.stream(seed, duration_s).collect()
     }
 }
 
@@ -193,6 +201,7 @@ impl SessionSpec {
 mod tests {
     use super::*;
     use crate::scenario::UsageScenario;
+    use crate::LoadGenerator;
 
     #[test]
     fn uniform_session_staggers_users() {

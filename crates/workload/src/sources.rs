@@ -71,6 +71,16 @@ mod tests {
     }
 
     #[test]
+    fn jitter_never_spans_a_frame_period() {
+        // Every request stream is strictly increasing in time only
+        // because 2·Jt < 1/fps; the merged stream relies on it.
+        for source in InputSource::ALL {
+            let spec = source_spec(source);
+            assert!(2.0 * spec.jitter_ms / 1e3 < spec.period_s(), "{source:?}");
+        }
+    }
+
+    #[test]
     fn periods_are_inverse_rates() {
         let cam = source_spec(InputSource::Camera);
         assert!((cam.period_s() - 1.0 / 60.0).abs() < 1e-12);

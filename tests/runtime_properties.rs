@@ -11,8 +11,8 @@ use xrbench::costmodel::{evaluate_layers, Dataflow, HardwareConfig, Layer};
 use xrbench::models::{zoo, InputSource, ModelId};
 use xrbench::prelude::*;
 use xrbench::sim::{
-    ExecRecord, FailoverAware, FaultProcess, InferenceCost, RecoveryPolicy, TableProvider,
-    UniformProvider,
+    ExecRecord, FailoverAware, FaultProcess, InferenceCost, RecoveryPolicy, SimResult,
+    TableProvider, UniformProvider,
 };
 use xrbench::workload::{DependencyKind, InferenceRequest};
 
@@ -499,7 +499,8 @@ fn edge_spec() -> ScenarioSpec {
 /// Runs the edge stream through the engine and the reference loop and
 /// returns both results as text: NaN fields defeat `PartialEq`, and
 /// `Debug` prints every float exactly, so equal text is equal output.
-fn edge_run(provider: &TableProvider, idx: usize) -> (String, String, usize) {
+/// The engine's result comes back too.
+fn edge_run(provider: &TableProvider, idx: usize) -> (String, String, SimResult) {
     let sim = Simulator::new(SimConfig {
         duration_s: 1.0,
         seed: 7,
@@ -517,11 +518,20 @@ fn edge_run(provider: &TableProvider, idx: usize) -> (String, String, usize) {
         provider,
         scheduler_for(idx).as_mut(),
     );
-    assert!(
-        fast.records.iter().all(|r| !r.t_end.is_nan()),
-        "a NaN-latency engine ran work, scheduler {idx}"
-    );
-    (format!("{fast:?}"), format!("{slow:?}"), fast.records.len())
+    (format!("{fast:?}"), format!("{slow:?}"), fast)
+}
+
+/// Four engines where engine 0 costs `latency` (a NaN or infinity)
+/// for every model, so every scheduler places work on it.
+fn nan_engine_provider(latency: f64) -> TableProvider {
+    TableProvider::from_fn(4, |model, e| InferenceCost {
+        latency_s: if e == 0 {
+            latency
+        } else {
+            edge_provider(0.006).cost(model, e).latency_s
+        },
+        energy_j: 0.001,
+    })
 }
 
 #[test]
@@ -529,20 +539,101 @@ fn engine_matches_naive_loop_on_nan_and_infinite_edges() {
     // NaN, infinite, and tolerance-edge deadlines under every
     // scheduler.
     for idx in 0..NUM_SCHEDULERS {
-        let (fast, slow, ran) = edge_run(&edge_provider(0.006), idx);
+        let (fast, slow, result) = edge_run(&edge_provider(0.006), idx);
         assert_eq!(
             fast, slow,
             "engines diverge on edge deadlines, scheduler {idx}"
         );
+        let ran = result.records.len();
         assert!(ran > 30, "edge stream barely ran: {ran} records");
     }
-    // Slack-aware EDF with a NaN-latency engine: negative NaN, which
-    // `total_cmp` ranks fastest, so a kernel that judged hand tracking
-    // against it would find nothing salvageable. The stream keeps hand
-    // tracking salvageable, so `select` never runs it there.
+    // A NaN-latency engine: a dispatch there never completes, so the
+    // engine stays busy for the rest of the run in both loops. Negative
+    // NaN ranks fastest under `total_cmp`, so every scheduler places
+    // work on it; positive NaN ranks slowest.
+    for latency in [-f64::NAN, f64::NAN] {
+        for idx in 0..NUM_SCHEDULERS {
+            let (fast, slow, result) = edge_run(&nan_engine_provider(latency), idx);
+            assert_eq!(
+                fast, slow,
+                "engines diverge with a {latency} engine, scheduler {idx}"
+            );
+            let on_nan = result.records.iter().filter(|r| r.t_end.is_nan()).count();
+            if latency.is_sign_negative() {
+                assert_eq!(on_nan, 1, "scheduler {idx} must use the NaN engine once");
+            }
+        }
+    }
+    // Slack-aware EDF with a NaN latency for hand tracking alone: a
+    // kernel that judged hand tracking against it would find nothing
+    // salvageable.
     let (fast, slow, _) = edge_run(&edge_provider(-f64::NAN), 2);
     assert_eq!(
         fast, slow,
         "slack-aware kernel diverges with a NaN-latency engine"
     );
+}
+
+#[test]
+fn engine_matches_naive_loop_on_never_ending_dispatches() {
+    // NaN and infinite latencies in sessions with cascades, fault-free
+    // and faulted. A never-ending dispatch never resolves its
+    // dependents, and a negative-NaN one sorts first without blocking
+    // the completions behind it. Under faults, outages revoke
+    // never-ending dispatches and recover them per policy (a migrated
+    // NaN dispatch carries a NaN remaining-work fraction), and the ones
+    // still open at the end are emitted in the total completion order.
+    let specs = [edge_spec(), UsageScenario::ArAssistant.spec()];
+    let session = SessionSpec::mixed("never-ending", &specs, 4, 0.003);
+    let faults = FaultProcess {
+        failure_rate_per_s: 4.0,
+        mean_downtime_s: 0.03,
+        preemption_rate_per_s: 2.0,
+        mean_preemption_s: 0.01,
+        throttle: None,
+    };
+    let sim = Simulator::new(SimConfig {
+        duration_s: 1.0,
+        seed: 11,
+    });
+    for latency in [-f64::NAN, f64::NAN, f64::INFINITY] {
+        let provider = nan_engine_provider(latency);
+        for idx in 0..NUM_SCHEDULERS {
+            let fast = sim.run_session(&session, &provider, scheduler_for(idx).as_mut());
+            let slow = sim.run_session_reference(&session, &provider, scheduler_for(idx).as_mut());
+            assert_eq!(
+                format!("{fast:?}"),
+                format!("{slow:?}"),
+                "engines diverge with a {latency} engine, scheduler {idx}"
+            );
+            for policy in RecoveryPolicy::ALL {
+                let run = |reference: bool| {
+                    let mut sched = scheduler_for(idx);
+                    let r = if reference {
+                        sim.run_session_faulted_reference(
+                            &session,
+                            &provider,
+                            sched.as_mut(),
+                            &faults,
+                            policy,
+                        )
+                    } else {
+                        sim.run_session_faulted(
+                            &session,
+                            &provider,
+                            sched.as_mut(),
+                            &faults,
+                            policy,
+                        )
+                    };
+                    format!("{r:?}")
+                };
+                assert_eq!(
+                    run(false),
+                    run(true),
+                    "faulted engines diverge with a {latency} engine, scheduler {idx}, {policy}"
+                );
+            }
+        }
+    }
 }
