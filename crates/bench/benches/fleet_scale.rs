@@ -1,5 +1,5 @@
 //! Criterion bench for fleet execution throughput — the PR-4 scale
-//! axis. `fleet_gate` is the committed pass/fail version of the same
+//! axis. `gate fleet` is the committed pass/fail version of the same
 //! measurement; this bench is for interactive profiling
 //! (`cargo bench -p xrbench-bench fleet_scale`).
 

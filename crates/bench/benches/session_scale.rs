@@ -1,7 +1,7 @@
 //! Criterion bench for multi-user session throughput — the workload
 //! the calendar-queue event engine (PR 8) targets, up to the 4096-user
 //! point where struct-of-arrays state and the batched kernel dispatch
-//! path dominate. `perf_gate` is the committed pass/fail version of
+//! path dominate. `gate perf` is the committed pass/fail version of
 //! the same measurement; this bench is for interactive profiling
 //! (`cargo bench -p xrbench-bench session_scale`).
 

@@ -16,22 +16,13 @@
 //!   (appendix Figure 8).
 //! * `tables` — Tables 1/7 (models), 2 (scenarios), 3 (input sources),
 //!   and 5 (accelerators) as the implementation sees them.
-//! * `perf_gate` — the committed simulator-core performance gate:
-//!   measures 1/32/256/1024-user session event throughput against the
-//!   pre-refactor reference loop, writes `BENCH_PR3.json`, and exits
-//!   non-zero on regression below the committed floor.
-//! * `fleet_gate` — the committed fleet-scale gate: runs a
-//!   ≥65,536-user / ≥2,048-session fleet, verifies the 1-worker and
-//!   8-worker reports are byte-identical, writes `BENCH_PR4.json`,
-//!   and exits non-zero below the committed events/sec floor or above
-//!   the committed peak-RSS bound.
-//! * `shard_gate` — the committed distributed-sharding gate: runs a
-//!   1,048,576-user fleet once in a single process and once split
-//!   across 8 shard child processes through the real `xrbench`
-//!   binary, verifies the reports are byte-identical, writes
-//!   `BENCH_PR9.json`, and exits non-zero below the committed
-//!   distributed events/sec floor or above the committed per-child
-//!   peak-RSS bound.
+//! * `gate` — the committed performance gates, one leg per argument:
+//!   `gate perf` (session throughput against the reference loop),
+//!   `gate fleet` (a 65,536-user fleet: worker-count byte identity,
+//!   pinned fault drops, throughput and peak RSS) and `gate shard` (a
+//!   1,048,576-user fleet split across 8 `xrbench` child processes).
+//!   Each writes `target/BENCH_PR{8,4,9}.json` and exits non-zero when
+//!   a bound fails; the bounds are listed in [`gate`].
 //!
 //! Criterion benches (`cargo bench -p xrbench-bench`):
 //!
@@ -41,9 +32,9 @@
 //! * `ablations` — scheduler, bandwidth, and drop-policy ablations
 //!   called out in DESIGN.md.
 //! * `session_scale` — multi-user session throughput (the interactive
-//!   counterpart of `perf_gate`).
+//!   counterpart of `gate perf`).
 //! * `fleet_scale` — fleet execution throughput (the interactive
-//!   counterpart of `fleet_gate`).
+//!   counterpart of `gate fleet`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +44,9 @@ pub fn fmt_scores(rt: f64, en: f64, qoe: f64, overall: f64) -> String {
     format!("rt={rt:5.2} en={en:5.2} qoe={qoe:5.2} overall={overall:5.2}")
 }
 
-/// CI affordances shared by the gate binaries.
+pub mod gate;
+
+/// CI affordances shared by the gate legs.
 pub mod ci {
     use std::io::Write as _;
 
@@ -80,8 +73,8 @@ pub mod ci {
     }
 }
 
-/// The PR-3 session-scale workload, shared by the `perf_gate` gate
-/// binary and the `session_scale` Criterion bench so interactive
+/// The PR-3 session-scale workload, shared by `gate perf` and the
+/// `session_scale` Criterion bench so interactive
 /// profiling measures exactly what the gate enforces.
 pub mod session_scale {
     use xrbench_sim::UniformProvider;
@@ -110,8 +103,8 @@ pub mod session_scale {
     }
 }
 
-/// The PR-4 fleet-scale workload, shared by the `fleet_gate` gate
-/// binary and the `fleet_scale` Criterion bench so interactive
+/// The PR-4 fleet-scale workload, shared by `gate fleet`, `gate shard`
+/// and the `fleet_scale` Criterion bench so interactive
 /// profiling measures exactly what the gate enforces: independent
 /// 32-user devices, grouped by built-in scenario, on 16-engine
 /// systems.
@@ -133,7 +126,7 @@ pub mod fleet_scale {
     /// The gated fleet size: 65,536 users across 2,048 sessions.
     pub const GATED_USERS: u32 = 65_536;
     /// The distributed-sharding gate's fleet size: 1,048,576 users
-    /// across 32,768 sessions (`shard_gate`, PR 9).
+    /// across 32,768 sessions (`gate shard`, PR 9).
     pub const SHARD_GATED_USERS: u32 = 1_048_576;
     /// The fault-injection leg's fleet size (kept small: the leg pins
     /// exact drop-reason totals, not throughput).

@@ -224,36 +224,16 @@ impl Harness {
     /// [`xrbench_fleet::FleetReport`] is bit-identical for any
     /// `workers` value — see `xrbench-fleet` and `DESIGN.md`.
     ///
-    /// The harness's seed, duration, and score parameters apply to
-    /// every device session, exactly as they would in
-    /// [`Harness::run_session`].
+    /// `recovery` applies to fault-injected device groups; groups
+    /// without a fault process are unaffected, so a fully fault-free
+    /// fleet is bit-identical under every policy. The harness's seed,
+    /// duration, and score parameters apply to every device session,
+    /// exactly as they would in [`Harness::run_session`].
     ///
     /// # Panics
     ///
     /// Panics if the fleet has no groups, `workers == 0`, or the
     /// system has no engines.
-    pub fn run_fleet(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-    ) -> xrbench_fleet::FleetReport {
-        self.run_fleet_with_recovery(
-            fleet,
-            system,
-            workers,
-            xrbench_sim::RecoveryPolicy::default(),
-        )
-    }
-
-    /// [`Harness::run_fleet`] with an explicit recovery policy for
-    /// fault-injected device groups (groups without a fault process
-    /// are unaffected — a fully fault-free fleet is bit-identical
-    /// under every policy).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_fleet`].
     pub fn run_fleet_with_recovery(
         &self,
         fleet: &xrbench_fleet::FleetSpec,
@@ -264,54 +244,9 @@ impl Harness {
         xrbench_fleet::run_fleet(fleet, system, &self.fleet_config(workers, recovery))
     }
 
-    /// Runs a fault-injected fleet once per
-    /// [`xrbench_sim::RecoveryPolicy`] — identical spec, seeds, and
-    /// outage schedules — and tabulates the outcomes
-    /// (see [`xrbench_fleet::compare_recovery_policies`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_fleet`].
-    pub fn compare_fleet_policies(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-    ) -> xrbench_fleet::PolicyComparisonReport {
-        let config = self.fleet_config(workers, xrbench_sim::RecoveryPolicy::default());
-        xrbench_fleet::compare_recovery_policies(fleet, system, &config)
-    }
-
-    /// Runs shard `shard` of `num_shards` of a fleet — the same
-    /// sessions [`Harness::run_fleet_with_recovery`] would seed for
-    /// the global `(group, replica)` coordinates that fall in the
-    /// shard — and returns the partial state
-    /// ([`xrbench_fleet::ShardState`]) ready to cross a process
-    /// boundary (see [`xrbench_fleet::merge_fleet_shards`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Harness::run_fleet`], plus
-    /// `shard < num_shards`.
-    pub fn run_fleet_shard(
-        &self,
-        fleet: &xrbench_fleet::FleetSpec,
-        system: &(dyn CostProvider + Sync),
-        workers: usize,
-        recovery: xrbench_sim::RecoveryPolicy,
-        shard: u32,
-        num_shards: u32,
-    ) -> xrbench_fleet::ShardState {
-        xrbench_fleet::run_fleet_shard(
-            fleet,
-            system,
-            &self.fleet_config(workers, recovery),
-            shard,
-            num_shards,
-        )
-    }
-
-    fn fleet_config(
+    /// The fleet-layer configuration this harness's seed, duration and
+    /// score parameters describe, for calling `xrbench_fleet` directly.
+    pub(crate) fn fleet_config(
         &self,
         workers: usize,
         recovery: xrbench_sim::RecoveryPolicy,
@@ -491,8 +426,9 @@ mod tests {
         let session = SessionSpec::uniform("party", UsageScenario::VrGaming.spec(), 4, 0.002);
         let fleet = FleetSpec::uniform("arcade", session, 6);
         let h = Harness::new();
-        let a = h.run_fleet(&fleet, &p, 1);
-        let b = h.run_fleet(&fleet, &p, 4);
+        let drop = xrbench_sim::RecoveryPolicy::default();
+        let a = h.run_fleet_with_recovery(&fleet, &p, 1, drop);
+        let b = h.run_fleet_with_recovery(&fleet, &p, 4, drop);
         assert_eq!(a, b, "worker count must not change the report");
         assert_eq!(a.num_sessions, 6);
         assert_eq!(a.num_users, 24);
@@ -604,7 +540,8 @@ mod tests {
             churny(),
         );
         let h = Harness::new();
-        let cmp = h.compare_fleet_policies(&fleet, &p, 2);
+        let config = h.fleet_config(2, xrbench_sim::RecoveryPolicy::default());
+        let cmp = xrbench_fleet::compare_recovery_policies(&fleet, &p, &config);
         assert_eq!(cmp.policies.len(), 3);
         assert!(cmp.policy("drop").unwrap().preempted > 0);
         // Per-policy rows reproduce the dedicated entry point.

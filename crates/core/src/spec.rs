@@ -7,9 +7,9 @@
 //! [`RunDocument::from_json_str`] turns it into a ready-to-execute
 //! value. Executing a run document goes through exactly the same
 //! library entry points ([`crate::run_suite_catalog`],
-//! [`Harness::run_session`], [`Harness::run_fleet`]) a Rust caller
-//! uses, so the reports are bit-for-bit identical to the programmatic
-//! path.
+//! [`Harness::run_session`], [`Harness::run_fleet_with_recovery`]) a
+//! Rust caller uses, so the reports are bit-for-bit identical to the
+//! programmatic path.
 //!
 //! ## Hardware schema
 //!
@@ -552,17 +552,14 @@ impl FleetRun {
     /// # Panics
     ///
     /// Panics if `shard >= num_shards` (same contract as
-    /// [`Harness::run_fleet`] otherwise).
+    /// [`Harness::run_fleet_with_recovery`] otherwise).
     pub fn run_shard(&self, shard: u32, num_shards: u32) -> xrbench_fleet::ShardState {
         let system = self.system.build();
-        self.params.harness().run_fleet_shard(
-            &self.fleet,
-            system.as_ref(),
-            self.effective_workers(),
-            self.recovery,
-            shard,
-            num_shards,
-        )
+        let config = self
+            .params
+            .harness()
+            .fleet_config(self.effective_workers(), self.recovery);
+        xrbench_fleet::run_fleet_shard(&self.fleet, system.as_ref(), &config, shard, num_shards)
     }
 
     /// Merges shard states produced by [`FleetRun::run_shard`] (in
@@ -587,14 +584,14 @@ impl FleetRun {
     }
 
     /// Runs the fleet once per recovery policy under identical fault
-    /// seeds (see [`Harness::compare_fleet_policies`]).
+    /// seeds (see [`xrbench_fleet::compare_recovery_policies`]).
     pub fn compare_policies(&self) -> xrbench_fleet::PolicyComparisonReport {
         let system = self.system.build();
-        self.params.harness().compare_fleet_policies(
-            &self.fleet,
-            system.as_ref(),
-            self.effective_workers(),
-        )
+        let config = self
+            .params
+            .harness()
+            .fleet_config(self.effective_workers(), self.recovery);
+        xrbench_fleet::compare_recovery_policies(&self.fleet, system.as_ref(), &config)
     }
 
     fn effective_workers(&self) -> usize {
@@ -886,7 +883,12 @@ mod tests {
         );
         // The worker count cannot change the report (PR 4 invariant),
         // so the document's `workers: 2` matches any library run.
-        let expected = Harness::new().run_fleet(&fleet, &system, 1);
+        let expected = Harness::new().run_fleet_with_recovery(
+            &fleet,
+            &system,
+            1,
+            xrbench_sim::RecoveryPolicy::default(),
+        );
         assert_eq!(report, expected);
     }
 

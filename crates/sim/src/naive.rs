@@ -1,5 +1,5 @@
 //! The reference event loop, kept for differential testing and the
-//! `perf_gate` before/after measurement.
+//! `gate perf` before/after measurement.
 //!
 //! This is the simulator's original event loop, written for
 //! readability rather than speed: it re-sorts the completion list on
@@ -9,7 +9,7 @@
 //! The production engine (`crate::engine`) must produce
 //! **bit-identical** results; `tests/runtime_properties.rs` proves it
 //! on randomized sessions, fault-free and faulted, and
-//! `crates/bench/src/bin/perf_gate.rs` measures the speedup.
+//! `crates/bench/src/gate/perf.rs` measures the speedup.
 //!
 //! ## Fault injection
 //!

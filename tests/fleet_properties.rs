@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use xrbench::fleet::{
-    merge_fleet_shards, plan_shards, replica_seed, FleetAccumulator, FleetSpec, ShardState,
-    StatAgg, SCORE_SCALE, TIME_SCALE,
+    merge_fleet_shards, plan_shards, replica_seed, run_fleet_shard, FleetAccumulator, FleetSpec,
+    ShardState, StatAgg, SCORE_SCALE, TIME_SCALE,
 };
 use xrbench::models::ModelId;
 use xrbench::prelude::*;
@@ -264,9 +264,10 @@ proptest! {
         let fleet = random_fleet(seed);
         let p = UniformProvider::new(2, 0.002, 0.001);
         let h = Harness::new().with_seed(seed ^ 0xF1EE7);
-        let one = h.run_fleet(&fleet, &p, 1).to_json();
+        let drop = RecoveryPolicy::default();
+        let one = h.run_fleet_with_recovery(&fleet, &p, 1, drop).to_json();
         for workers in [2usize, 8] {
-            let other = h.run_fleet(&fleet, &p, workers).to_json();
+            let other = h.run_fleet_with_recovery(&fleet, &p, workers, drop).to_json();
             prop_assert_eq!(&one, &other, "workers = {}", workers);
         }
     }
@@ -289,9 +290,12 @@ proptest! {
 
         // The fleet derives session seeds from its base seed; run the
         // reference session under exactly the derived seed.
-        let fleet_report = Harness::new()
-            .with_seed(seed)
-            .run_fleet(&FleetSpec::uniform("one", session.clone(), 1), &p, 2);
+        let fleet_report = Harness::new().with_seed(seed).run_fleet_with_recovery(
+            &FleetSpec::uniform("one", session.clone(), 1),
+            &p,
+            2,
+            RecoveryPolicy::default(),
+        );
         let session_report = Harness::new()
             .with_seed(replica_seed(seed, 0, 0))
             .run_session(&session, &p, &mut LatencyGreedy::new());
@@ -380,14 +384,16 @@ proptest! {
             random_fleet(seed)
         };
         let p = UniformProvider::new(2, 0.002, 0.001);
-        let h = Harness::new().with_seed(seed ^ 0x54A8D);
-        let reference = h.run_fleet(&fleet, &p, 2).to_json();
+        let config = FleetRunConfig {
+            sim: SimConfig { seed: seed ^ 0x54A8D, ..SimConfig::default() },
+            workers: 2,
+            ..FleetRunConfig::default()
+        };
+        let reference = run_fleet(&fleet, &p, &config).to_json();
 
         let states: Vec<ShardState> = (0..num_shards)
             .map(|k| {
-                let wire = h
-                    .run_fleet_shard(&fleet, &p, 2, RecoveryPolicy::default(), k, num_shards)
-                    .to_json();
+                let wire = run_fleet_shard(&fleet, &p, &config, k, num_shards).to_json();
                 ShardState::from_json(&wire).expect("shard state survives the wire format")
             })
             .collect();
